@@ -30,6 +30,9 @@
 #include "trace.h"
 #include "wasm/module.h"
 
+namespace wasabi::interp {
+class Instance;
+}
 namespace wasabi::serve {
 class Server;
 }
@@ -80,6 +83,13 @@ Inputs makeInputs(const std::string &workload, uint64_t seed,
 /** Write the serve modules to their paths (requests name files). */
 void writeServeModules(const Inputs &in);
 
+/** Translate every defined function of @p inst now, inside an
+ * "interp.translate" span (for @p request) when @p tr is set, so
+ * translation is timed apart from the execution that would otherwise
+ * do it lazily. */
+void forceTranslation(wasabi::interp::Instance &inst, Tracer *tr,
+                      int64_t request = -1);
+
 /** Operations attempted and output checks failed. */
 struct Tally {
     uint64_t attempted = 0;
@@ -104,8 +114,12 @@ class RunPipeline {
   public:
     explicit RunPipeline(const Inputs &in) : in_(in) {}
     void check(Tally &t);
-    /** Wall seconds of the pass's pipelines (uninstrumented runs are
-     * not counted). */
+    /** Operations in a pass: one per (module, analysis) pair. */
+    size_t ops() const;
+    /** Operation @p op of a pass: the uninstrumented execution, then
+     * the pipeline. Returns the pipeline's wall seconds. */
+    double step(Tally &t, size_t op, Tracer *tr);
+    /** Every operation in order; the sum of their seconds. */
     double pass(Tally &t, Tracer *tr);
     /**
      * One traced pass (its spans go to @p spans) plus extra executions
@@ -136,6 +150,10 @@ class StaticPipeline {
   public:
     explicit StaticPipeline(const Inputs &in) : in_(in) {}
     void check(Tally &t);
+    /** Operations in a pass: one per module. */
+    size_t ops() const;
+    /** Module @p i through the pipeline; returns its timed seconds. */
+    double step(Tally &t, size_t i, Tracer *tr);
     double pass(Tally &t, Tracer *tr);
     double layers(Tally &t, Layers &out, std::vector<Tracer> &spans);
 
@@ -148,7 +166,9 @@ class StaticPipeline {
     const Inputs &in_;
     std::vector<std::vector<uint8_t>> instrumented_, optimized_;
     std::vector<uint64_t> hooksExpected_;
-    std::vector<std::vector<double>> instrSeconds_, optSeconds_; ///< [module][pass]
+    /** [module][pass]: instrument wall seconds, optimize-and-check
+     * process CPU seconds. */
+    std::vector<std::vector<double>> instrSeconds_, optCpuSeconds_;
     uint64_t hooksGenerated_ = 0, hookMapMisses_ = 0, optClaims_ = 0;
 };
 
@@ -169,12 +189,15 @@ class ServeLoop {
     double layers(Tally &t, Layers &out, std::vector<Tracer> &spans);
 
     /** Medians over passes of each pass's figure: a slow spell of the
-     * host that spans a minority of passes does not move them. */
+     * host that spans a minority of passes does not move them. A
+     * pooled tail would take its slowest requests from those slow
+     * passes. Each pass's p99 rests on at least 1000 warm requests,
+     * so on ten or more beyond it. */
     double warmP50Ms() const;
     double warmP99Ms() const;
     double coldP50Ms() const;
     double rps() const;
-    /** Every pass's latencies pooled, for the reported distribution. */
+    /** Every pass's latencies pooled. */
     const std::vector<double> &warmMs() const { return warmMs_; }
     const std::vector<double> &coldMs() const { return coldMs_; }
 

@@ -18,20 +18,25 @@
  * End-to-end metrics (every workload reports all of them, measured on
  * its own inputs; timings are medians over passes or requests):
  *   setup_s            input generation in memory, median of repeats
+ *                      spread over the measured time
  *   peak_rss_mb        peak resident set of this process
  *   rewrite_run_s      one pass of the rewrite-mode run pipeline
  *   overhead_x         geomean over (module, analysis) of instrumented
  *                      over uninstrumented execute time (Fig. 9)
  *   instrument_s       decode, validate, instrument (all hooks, one
- *                      thread per core, at most one per function),
- *                      encode: one pass
+ *                      thread per core, at most one per 64 KiB of
+ *                      module), encode: one pass
  *   opt_check_s        optimize, encode, manifest out and in,
- *                      checkOptimization: one pass
+ *                      checkOptimization: one pass, in CPU seconds of
+ *                      the process (see StaticPipeline::step)
  *   code_size_ratio    instrumented / original bytes, geomean (Fig. 8)
  *   opt_size_ratio     optimized / original bytes, geomean
  *   serve_warm_p50_ms  handle() latency of requests for seen modules
- *   serve_warm_p99_ms  (median over passes of the pass's p50 / p99)
+ *                      (median over passes of the pass's median)
+ *   serve_warm_p99_ms  p99 of the same latencies (median over passes
+ *                      of the pass's p99, each of 1000 or more)
  *   serve_cold_p50_ms  handle() latency of requests for unseen modules
+ *                      (median over passes of the pass's median)
  *   serve_rps          requests per second, one client per core
  * Operations whose output check failed or that errored count in
  * "failed"; failed / attempted is the run's failed_ratio.
@@ -141,7 +146,9 @@ buildRefusal()
 #elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
     return "built with sanitizers";
 #else
-    return std::strlen(PERFBENCH_SANITIZE) ? "built with sanitizers" : "";
+    return std::strstr(PERFBENCH_CXX_FLAGS, "-fsanitize")
+               ? "built with sanitizers"
+               : "";
 #endif
 }
 
@@ -271,19 +278,23 @@ runBenchmark(const Options &opt)
                 jsonString(opt.workload).c_str(), opt.seed, opt.seconds,
                 opt.trace);
 
-    // Set-up: generating the inputs in memory, at least five times
-    // and for at least half a second, so the median is steady. The
-    // serve modules are written to disk once, untimed: file-system
-    // latency is not the program's.
-    Inputs in;
+    // Set-up: generating the inputs in memory. The first set-up makes
+    // the inputs; the timed run repeats it between its passes, spread
+    // over the measured time, so that the median of set-ups does not
+    // rest on one moment of the host. The serve modules are written to
+    // disk once, untimed: file-system latency is not the program's.
     std::vector<double> setup;
-    for (double total = 0;
-         setup.size() < 5 || (total < 0.5 && setup.size() < 200);) {
+    auto setUp = [&] {
         const int64_t t0 = nowNs();
-        in = makeInputs(opt.workload, opt.seed, opt.workdir);
+        Inputs made = makeInputs(opt.workload, opt.seed, opt.workdir);
         setup.push_back(static_cast<double>(nowNs() - t0) * 1e-9);
-        total += setup.back();
-    }
+        return made;
+    };
+    Inputs in = setUp();
+    // At least nine set-ups, and as many as fit in a twentieth of the
+    // measured time, at most 200.
+    const size_t setups = std::clamp<size_t>(
+        static_cast<size_t>(0.05 * opt.seconds / setup[0]), 9, 200);
     writeServeModules(in);
 
     Tally tally;
@@ -293,25 +304,32 @@ runBenchmark(const Options &opt)
     struct Stage {
         const char *name;
         double share;
+        size_t ops;
         std::function<void(Tally &)> check;
+        std::function<double(Tally &, size_t)> step;
         std::function<double(Tally &)> pass;
         std::function<double(Tally &, Layers &, std::vector<Tracer> &)>
             layers;
         double spent = 0;
-        int passes = 0;
+        size_t steps = 0;
+        int passes() const { return static_cast<int>(steps / ops); }
     };
     std::vector<Stage> stages = {
-        {"run", in.runShare, [&](Tally &t) { run.check(t); },
+        {"run", in.runShare, run.ops(), [&](Tally &t) { run.check(t); },
+         [&](Tally &t, size_t op) { return run.step(t, op, nullptr); },
          [&](Tally &t) { return run.pass(t, nullptr); },
          [&](Tally &t, Layers &l, std::vector<Tracer> &s) {
              return run.layers(t, l, s);
          }},
-        {"static", in.staticShare, [&](Tally &t) { statics.check(t); },
+        {"static", in.staticShare, statics.ops(),
+         [&](Tally &t) { statics.check(t); },
+         [&](Tally &t, size_t op) { return statics.step(t, op, nullptr); },
          [&](Tally &t) { return statics.pass(t, nullptr); },
          [&](Tally &t, Layers &l, std::vector<Tracer> &s) {
              return statics.layers(t, l, s);
          }},
-        {"serve", in.serveShare, [&](Tally &t) { serve.check(t); },
+        {"serve", in.serveShare, 1, [&](Tally &t) { serve.check(t); },
+         [&](Tally &t, size_t) { return serve.pass(t); },
          [&](Tally &t) { return serve.pass(t); },
          [&](Tally &t, Layers &l, std::vector<Tracer> &s) {
              return serve.layers(t, l, s);
@@ -329,56 +347,72 @@ runBenchmark(const Options &opt)
     std::vector<Tracer> spans;
     try {
         if (checked && opt.trace == 0) {
-            // Passes interleave: the stage furthest behind its share of
-            // the time goes next, until each has its share and at
-            // least three passes.
-            while (true) {
-                Stage *next = nullptr;
-                for (Stage &s : stages) {
-                    if (s.passes >= 3 && s.spent >= s.share * opt.seconds)
-                        continue;
-                    if (!next || s.spent / s.share < next->spent / next->share)
+            // Operations interleave, so that every stage samples the
+            // whole run: the stage furthest behind its share of the time
+            // takes its next operation, until the measured time is up
+            // and every stage has made three full passes. Set-ups keep
+            // pace with the slower of the two.
+            const int64_t start = nowNs();
+            auto progress = [&] {
+                double done = static_cast<double>(nowNs() - start) * 1e-9 /
+                              opt.seconds;
+                for (const Stage &s : stages)
+                    done = std::min(done, static_cast<double>(s.steps) /
+                                              static_cast<double>(3 * s.ops));
+                return done;
+            };
+            auto setUpOnSchedule = [&](double done) {
+                while (static_cast<double>(setup.size()) <
+                       static_cast<double>(setups) * std::min(done, 1.0))
+                    setUp();
+            };
+            for (double done; (done = progress()) < 1;) {
+                setUpOnSchedule(done);
+                Stage *next = &stages[0];
+                for (Stage &s : stages)
+                    if (s.spent / s.share < next->spent / next->share)
                         next = &s;
-                }
-                if (!next)
-                    break;
                 const int64_t t0 = nowNs();
-                next->pass(tally);
+                next->step(tally, next->steps % next->ops);
                 next->spent += static_cast<double>(nowNs() - t0) * 1e-9;
-                ++next->passes;
+                ++next->steps;
             }
+            setUpOnSchedule(1.0);
             const std::string per_pass =
-                "median over " + std::to_string(stages[2].passes) +
+                "median over " + std::to_string(stages[2].passes()) +
                 " passes of the pass's ";
             metrics = {
                 {"setup_s", "s", median(setup),
                  distribution(setup, "set-ups")},
                 {"peak_rss_mb", "MB", peakRssMb(), "getrusage"},
                 {"rewrite_run_s", "s", run.rewriteRunSeconds(),
-                 passes(stages[0].passes)},
+                 passes(stages[0].passes())},
                 {"overhead_x", "x", run.overheadX(),
-                 passes(stages[0].passes)},
+                 passes(stages[0].passes())},
                 {"instrument_s", "s", statics.instrumentSeconds(),
-                 passes(stages[1].passes)},
+                 passes(stages[1].passes())},
                 {"opt_check_s", "s", statics.optCheckSeconds(),
-                 passes(stages[1].passes)},
+                 "process CPU time, " + passes(stages[1].passes())},
                 {"code_size_ratio", "x", statics.codeSizeRatio(), "exact"},
                 {"opt_size_ratio", "x", statics.optSizeRatio(), "exact"},
                 {"serve_warm_p50_ms", "ms", serve.warmP50Ms(),
                  per_pass + "median; pooled: " +
                      distribution(serve.warmMs(), "warm requests")},
                 {"serve_warm_p99_ms", "ms", serve.warmP99Ms(),
-                 per_pass + "p99"},
+                 per_pass + "nearest-rank p99, each of " +
+                     std::to_string(in.serveStream.size() -
+                                    in.serveCold.size()) +
+                     " warm requests"},
                 {"serve_cold_p50_ms", "ms", serve.coldP50Ms(),
                  per_pass + "median; pooled: " +
                      distribution(serve.coldMs(), "cold requests")},
                 {"serve_rps", "1/s", serve.rps(),
-                 "median over " + std::to_string(stages[2].passes) +
+                 "median over " + std::to_string(stages[2].passes()) +
                      " passes of " + std::to_string(nproc) +
                      " clients"},
             };
             for (const Stage &s : stages)
-                std::printf("%s: %d passes in %.3f s\n", s.name, s.passes,
+                std::printf("%s: %d passes in %.3f s\n", s.name, s.passes(),
                             s.spent);
         } else if (checked) {
             // One untraced and one traced pass per pipeline; the

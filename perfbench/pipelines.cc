@@ -4,6 +4,7 @@
 
 #include "analyses/registry.h"
 #include "bench.h"
+#include "bench/bench_common.h"
 #include "core/instrument.h"
 #include "core/intrinsic_info.h"
 #include "interp/engine/code.h"
@@ -20,6 +21,15 @@ namespace perfbench {
 
 using namespace wasabi;
 using Scope = Tracer::Scope;
+
+void
+forceTranslation(interp::Instance &inst, Tracer *tr, int64_t request)
+{
+    Scope s(tr, "interp.translate", request);
+    const wasm::Module &m = inst.module();
+    for (uint32_t f = m.numImportedFunctions(); f < m.numFunctions(); ++f)
+        inst.engineCode().function(f);
+}
 
 namespace {
 
@@ -42,30 +52,6 @@ decodeValidated(const Module &mod, Tracer *tr)
         throw std::runtime_error(mod.name + " is invalid: " + *err);
     return m;
 }
-
-/** Translate every defined function now, so translation gets its own
- * span instead of hiding in the first execution. */
-void
-translateAll(interp::Instance &inst, Tracer *tr)
-{
-    if (!tr)
-        return;
-    Scope s(tr, "interp.translate");
-    const wasm::Module &m = inst.module();
-    for (uint32_t f = m.numImportedFunctions(); f < m.numFunctions(); ++f)
-        inst.engineCode().function(f);
-}
-
-/** An analysis subscribed to @p set that does nothing: execution under
- * it costs the VM plus hook dispatch. */
-class EmptyAnalysis final : public runtime::Analysis {
-  public:
-    explicit EmptyAnalysis(core::HookSet set) : set_(set) {}
-    core::HookSet hooks() const override { return set_; }
-
-  private:
-    core::HookSet set_;
-};
 
 /** Forwards every hook to an inner analysis and adds up the time
  * spent inside it: the analysis body, apart from dispatch. */
@@ -175,7 +161,7 @@ rewriteRun(const Module &mod, const std::string &analysis, Tracer *tr,
     wasm::Module m = decodeValidated(mod, tr);
     std::unique_ptr<runtime::Analysis> a = analyses::makeAnalysis(analysis);
     core::HookSet hooks = runtime::WasabiRuntime::requiredHooks({a.get()});
-    EmptyAnalysis empty(hooks);
+    bench::EmptyAnalysis empty(hooks);
     TimedAnalysis timed(*a);
     runtime::Analysis *attached = variant == Variant::Empty   ? &empty
                                   : variant == Variant::Timed ? &timed
@@ -192,7 +178,8 @@ rewriteRun(const Module &mod, const std::string &analysis, Tracer *tr,
         Scope s(tr, "interp.instantiate");
         inst = rt.instantiate(r.module);
     }
-    translateAll(*inst, tr);
+    if (tr)
+        forceTranslation(*inst, tr);
     RunOutcome out;
     interp::Interpreter interp;
     {
@@ -219,7 +206,8 @@ uninstrumented(std::shared_ptr<const wasm::Module> m, const Module &mod,
                uint64_t *instructions = nullptr)
 {
     auto inst = interp::Instance::instantiate(std::move(m), interp::Linker());
-    translateAll(*inst, tr);
+    if (tr)
+        forceTranslation(*inst, tr);
     interp::Interpreter interp;
     interp.engine = engine;
     Scope s(tr, "interp.vm");
@@ -244,6 +232,9 @@ hostThreads()
 {
     return std::max(1u, std::thread::hardware_concurrency());
 }
+
+/** Module bytes per instrumenting thread (see StaticPipeline::step). */
+constexpr size_t kBytesPerThread = 64 * 1024;
 
 } // namespace
 
@@ -293,40 +284,51 @@ RunPipeline::check(Tally &t)
         }
 }
 
+size_t
+RunPipeline::ops() const
+{
+    return in_.run.size() * in_.runAnalyses.size();
+}
+
+double
+RunPipeline::step(Tally &t, size_t op, Tracer *tr)
+{
+    const size_t i = op / in_.runAnalyses.size();
+    const size_t a = op % in_.runAnalyses.size();
+    const Module &mod = in_.run[i];
+    const std::string &name = in_.runAnalyses[a];
+    // The uninstrumented execution runs right before the pipeline, so
+    // a slow spell of the host hits both sides of the overhead ratio
+    // alike.
+    int64_t exec = 0;
+    uint64_t instructions = 0;
+    t.op(uninstrumented(decoded_[i], mod, interp::EngineKind::Fast, tr,
+                        &exec, &instructions) == results_[i],
+         where(mod) + ": uninstrumented result differs");
+    instructions_ += instructions;
+    const int64_t t0 = nowNs();
+    RunOutcome o = rewriteRun(mod, name, tr);
+    const int64_t pipe = nowNs() - t0;
+    t.op(o.results == results_[i],
+         where(mod, name) + ": instrumented result differs");
+    t.op(o.report == reports_[i][a],
+         where(mod, name) +
+             ": rewrite-mode report differs from intrinsic mode");
+    pipeSeconds_[i][a].push_back(seconds(pipe));
+    overhead_[i][a].push_back(static_cast<double>(o.executeNs) /
+                              static_cast<double>(exec));
+    hooks_ += o.hooks;
+    translations_ += o.translations;
+    return seconds(pipe);
+}
+
 double
 RunPipeline::pass(Tally &t, Tracer *tr)
 {
-    int64_t total = 0;
-    for (size_t i = 0; i < in_.run.size(); ++i) {
-        const Module &mod = in_.run[i];
-        for (size_t a = 0; a < in_.runAnalyses.size(); ++a) {
-            const std::string &name = in_.runAnalyses[a];
-            // The uninstrumented execution runs right before the
-            // pipeline, so a slow spell of the host hits both sides of
-            // the overhead ratio alike.
-            int64_t exec = 0;
-            uint64_t instructions = 0;
-            t.op(uninstrumented(decoded_[i], mod, interp::EngineKind::Fast,
-                                tr, &exec, &instructions) == results_[i],
-                 where(mod) + ": uninstrumented result differs");
-            instructions_ += instructions;
-            const int64_t t0 = nowNs();
-            RunOutcome o = rewriteRun(mod, name, tr);
-            const int64_t pipe = nowNs() - t0;
-            total += pipe;
-            t.op(o.results == results_[i],
-                 where(mod, name) + ": instrumented result differs");
-            t.op(o.report == reports_[i][a],
-                 where(mod, name) +
-                     ": rewrite-mode report differs from intrinsic mode");
-            pipeSeconds_[i][a].push_back(seconds(pipe));
-            overhead_[i][a].push_back(static_cast<double>(o.executeNs) /
-                                      static_cast<double>(exec));
-            hooks_ += o.hooks;
-            translations_ += o.translations;
-        }
-    }
-    return seconds(total);
+    double total = 0;
+    for (size_t op = 0; op < ops(); ++op)
+        total += step(t, op, tr);
+    return total;
 }
 
 double
@@ -385,7 +387,7 @@ RunPipeline::overheadX() const
     for (const auto &per_analysis : overhead_)
         for (const std::vector<double> &v : per_analysis)
             ratios.push_back(median(v));
-    return geomean(ratios);
+    return bench::geomean(ratios);
 }
 
 void
@@ -406,11 +408,11 @@ StaticPipeline::check(Tally &t)
     optimized_.clear();
     hooksExpected_.clear();
     instrSeconds_.assign(in_.statics.size(), {});
-    optSeconds_.assign(in_.statics.size(), {});
+    optCpuSeconds_.assign(in_.statics.size(), {});
     pass(t, nullptr);
     for (size_t i = 0; i < in_.statics.size(); ++i) {
         instrSeconds_[i].clear();
-        optSeconds_[i].clear();
+        optCpuSeconds_[i].clear();
     }
     // The optimized entry must return what the original returns, on
     // the legacy engine. The run pipeline's modules stand in for the
@@ -427,88 +429,109 @@ StaticPipeline::check(Tally &t)
     }
 }
 
+size_t
+StaticPipeline::ops() const
+{
+    return in_.statics.size();
+}
+
+double
+StaticPipeline::step(Tally &t, size_t i, Tracer *tr)
+{
+    namespace rw = static_analysis::rewrite;
+    const Module &mod = in_.statics[i];
+    int64_t t0 = nowNs();
+    wasm::Module m = decodeValidated(mod, tr);
+    // One thread per core, as `wasabi instrument --threads=N`
+    // would be run on this host, but no more threads than 64 KiB
+    // pieces of the module: on a small module the timing would
+    // otherwise be of thread start-up and of how soon a shared host
+    // schedules each thread, not of instrumentation. The large apps
+    // get a thread per core; small apps, kernels and random programs
+    // are instrumented on one thread, as `wasabi run` and the server
+    // instrument them.
+    core::InstrumentOptions opts;
+    opts.numThreads = static_cast<unsigned>(std::clamp<size_t>(
+        mod.bytes.size() / kBytesPerThread, 1, hostThreads()));
+    core::InstrumentResult r;
+    {
+        Scope s(tr, "core.instrument");
+        r = core::instrument(m, core::HookSet::all(), opts);
+    }
+    std::vector<uint8_t> instrumented;
+    {
+        Scope s(tr, "wasm.encode");
+        instrumented = wasm::encodeModule(r.module);
+    }
+    const int64_t instr_ns = nowNs() - t0;
+    instrSeconds_[i].push_back(seconds(instr_ns));
+    const bool first = instrumented_.size() == i;
+    if (first) {
+        instrumented_.push_back(instrumented);
+        hooksExpected_.push_back(r.stats.hooksGenerated);
+    }
+    // Hook ids are handed out in the order worker threads reach
+    // them, so with several threads the bytes differ from run to
+    // run: each output is checked on its own instead.
+    t.op(r.stats.hooksGenerated == hooksExpected_[i] &&
+             static_analysis::checkInstrumentation(*r.info, r.module)
+                 .empty(),
+         where(mod) + ": checkInstrumentation rejects the output");
+    hooksGenerated_ += r.stats.hooksGenerated;
+    hookMapMisses_ += r.stats.hookMap.misses;
+
+    // opt_check_s is CPU time: the optimizer and checker start one
+    // thread per core for their interprocedural solvers, even on a
+    // 6 KB module, so their wall time on a shared host is mostly how
+    // soon each of those threads gets a core.
+    t0 = nowNs();
+    const int64_t cpu0 = processCpuNs();
+    rw::OptResult o;
+    {
+        Scope s(tr, "static.opt");
+        o = rw::optimize(m, rw::allOptPasses());
+    }
+    std::vector<uint8_t> optimized;
+    {
+        Scope s(tr, "wasm.encode");
+        optimized = wasm::encodeModule(o.module);
+    }
+    std::string manifest;
+    {
+        Scope s(tr, "static.manifest_write");
+        manifest = rw::claimsToManifest(o.claims);
+    }
+    rw::OptClaims claims;
+    std::string error;
+    bool parsed;
+    {
+        Scope s(tr, "static.manifest_parse");
+        parsed = rw::claimsFromManifest(manifest, claims, &error);
+    }
+    bool proved;
+    {
+        Scope s(tr, "static.check_opt");
+        proved = parsed &&
+                 rw::checkOptimization(m, optimized, claims).empty();
+    }
+    const int64_t opt_ns = nowNs() - t0;
+    optCpuSeconds_[i].push_back(seconds(processCpuNs() - cpu0));
+    if (first)
+        optimized_.push_back(optimized);
+    t.op(proved && optimized == optimized_[i],
+         where(mod) + ": optimized output or its manifest differs");
+    optClaims_ += o.claims.totalClaims();
+    return seconds(instr_ns + opt_ns);
+}
+
 double
 StaticPipeline::pass(Tally &t, Tracer *tr)
 {
-    namespace rw = static_analysis::rewrite;
-    int64_t instr_ns = 0, opt_ns = 0;
     hooksGenerated_ = hookMapMisses_ = optClaims_ = 0;
-    for (size_t i = 0; i < in_.statics.size(); ++i) {
-        const Module &mod = in_.statics[i];
-        int64_t t0 = nowNs();
-        wasm::Module m = decodeValidated(mod, tr);
-        // One thread per core, as `wasabi instrument --threads=N`
-        // would be run on this host, but no more threads than defined
-        // functions: a one-function kernel would otherwise time thread
-        // start-up instead of instrumentation.
-        core::InstrumentOptions opts;
-        opts.numThreads = std::min<unsigned>(
-            hostThreads(), m.numFunctions() - m.numImportedFunctions());
-        core::InstrumentResult r;
-        {
-            Scope s(tr, "core.instrument");
-            r = core::instrument(m, core::HookSet::all(), opts);
-        }
-        std::vector<uint8_t> instrumented;
-        {
-            Scope s(tr, "wasm.encode");
-            instrumented = wasm::encodeModule(r.module);
-        }
-        instr_ns += nowNs() - t0;
-        instrSeconds_[i].push_back(seconds(nowNs() - t0));
-        const bool first = instrumented_.size() == i;
-        if (first) {
-            instrumented_.push_back(instrumented);
-            hooksExpected_.push_back(r.stats.hooksGenerated);
-        }
-        // Hook ids are handed out in the order worker threads reach
-        // them, so with several threads the bytes differ from run to
-        // run: each output is checked on its own instead.
-        t.op(r.stats.hooksGenerated == hooksExpected_[i] &&
-                 static_analysis::checkInstrumentation(*r.info, r.module)
-                     .empty(),
-             where(mod) + ": checkInstrumentation rejects the output");
-        hooksGenerated_ += r.stats.hooksGenerated;
-        hookMapMisses_ += r.stats.hookMap.misses;
-
-        t0 = nowNs();
-        rw::OptResult o;
-        {
-            Scope s(tr, "static.opt");
-            o = rw::optimize(m, rw::allOptPasses());
-        }
-        std::vector<uint8_t> optimized;
-        {
-            Scope s(tr, "wasm.encode");
-            optimized = wasm::encodeModule(o.module);
-        }
-        std::string manifest;
-        {
-            Scope s(tr, "static.manifest_write");
-            manifest = rw::claimsToManifest(o.claims);
-        }
-        rw::OptClaims claims;
-        std::string error;
-        bool parsed;
-        {
-            Scope s(tr, "static.manifest_parse");
-            parsed = rw::claimsFromManifest(manifest, claims, &error);
-        }
-        bool proved;
-        {
-            Scope s(tr, "static.check_opt");
-            proved = parsed &&
-                     rw::checkOptimization(m, optimized, claims).empty();
-        }
-        opt_ns += nowNs() - t0;
-        optSeconds_[i].push_back(seconds(nowNs() - t0));
-        if (first)
-            optimized_.push_back(optimized);
-        t.op(proved && optimized == optimized_[i],
-             where(mod) + ": optimized output or its manifest differs");
-        optClaims_ += o.claims.totalClaims();
-    }
-    return seconds(instr_ns + opt_ns);
+    double total = 0;
+    for (size_t i = 0; i < ops(); ++i)
+        total += step(t, i, tr);
+    return total;
 }
 
 double
@@ -548,7 +571,7 @@ double
 StaticPipeline::optCheckSeconds() const
 {
     double sum = 0;
-    for (const std::vector<double> &v : optSeconds_)
+    for (const std::vector<double> &v : optCpuSeconds_)
         sum += median(v);
     return sum;
 }
@@ -560,7 +583,7 @@ StaticPipeline::codeSizeRatio() const
     for (size_t i = 0; i < in_.statics.size(); ++i)
         r.push_back(static_cast<double>(instrumented_[i].size()) /
                     static_cast<double>(in_.statics[i].bytes.size()));
-    return geomean(r);
+    return bench::geomean(r);
 }
 
 double
@@ -570,7 +593,7 @@ StaticPipeline::optSizeRatio() const
     for (size_t i = 0; i < in_.statics.size(); ++i)
         r.push_back(static_cast<double>(optimized_[i].size()) /
                     static_cast<double>(in_.statics[i].bytes.size()));
-    return geomean(r);
+    return bench::geomean(r);
 }
 
 } // namespace perfbench

@@ -7,7 +7,6 @@
 #include "analyses/registry.h"
 #include "bench.h"
 #include "core/intrinsic_info.h"
-#include "interp/engine/code.h"
 #include "interp/interpreter.h"
 #include "obs/json.h"
 #include "obs/profile.h"
@@ -44,9 +43,6 @@ struct Replayed {
     std::vector<wasm::Value> results;
     std::string report;
     int64_t executeNs = 0;
-    /** Time in the replayed calls, forced translation excepted
-     * (traced replays only). */
-    int64_t layersNs = 0;
 };
 
 /**
@@ -59,7 +55,6 @@ Replayed
 replay(serve::Server &server, const std::string &line, bool profile,
        Tracer *tr, int64_t request)
 {
-    const size_t first_span = tr ? tr->spans.size() : 0;
     serve::Request r;
     {
         Scope s(tr, "serve.parse", request);
@@ -104,13 +99,7 @@ replay(serve::Server &server, const std::string &line, bool profile,
         Scope s(tr, "runtime.attach", request);
         rt.attachIntrinsic(inst);
     }
-    {
-        Scope s(tr, "interp.translate", request);
-        const wasm::Module &m = inst.module();
-        for (uint32_t f = m.numImportedFunctions(); f < m.numFunctions();
-             ++f)
-            inst.engineCode().function(f);
-    }
+    forceTranslation(inst, tr, request);
     Replayed out;
     interp::Interpreter interp;
     {
@@ -130,10 +119,6 @@ replay(serve::Server &server, const std::string &line, bool profile,
         Scope s(tr, "serve.pool_release", request);
         server.pool().release(std::move(lease));
     }
-    if (tr)
-        for (size_t i = first_span; i < tr->spans.size(); ++i)
-            if (tr->spans[i].name != "interp.translate")
-                out.layersNs += tr->spans[i].selfNs();
     return out;
 }
 
@@ -264,6 +249,9 @@ ServeLoop::pass(Tally &t)
     const double wall = runStream(server, in_.serveStream, clients_, t,
                                   nullptr, &warm, &cold);
     rps_.push_back(static_cast<double>(in_.serveStream.size()) / wall);
+    // Nearest-rank p99 has ten samples beyond it from 1000 samples on.
+    if (warm.size() < 1000)
+        throw std::logic_error("p99 of fewer than 1000 warm requests");
     warmP50_.push_back(median(warm));
     warmP99_.push_back(percentile(warm, 99));
     coldP50_.push_back(median(cold));
@@ -300,29 +288,34 @@ ServeLoop::layers(Tally &t, Layers &out, std::vector<Tracer> &spans)
     // One client on a fresh server: uncontended handle() latency, its
     // translations per warm request, and a layer-by-layer replay of
     // every 8th warm request. A sampled request is replayed first, so
-    // the replay finds the instance as the previous request left it,
-    // then handled (to check the replay against its response); only
-    // unsampled requests give handle() latencies and translations.
+    // the replay finds the instance as the previous request left it
+    // (these spans give the per-layer figures), then handled, then
+    // replayed again. handle() and the second replay both run right
+    // after the same request, with its code translated and the caches
+    // warm, so they compare like for like: the residual is handle()
+    // minus the second replay's layers, request by request. Only
+    // unsampled requests count towards translations per request.
     serve::Server solo;
     runStream(solo, in_.serveWarmup, 1, t, nullptr, nullptr, nullptr);
     spans.emplace_back();
     Tracer &tr = spans.back();
+    Tracer again;
     std::vector<double> residual_us;
     uint64_t warm_requests = 0, warm_translations = 0;
     int64_t run_exec = 0, profile_exec = 0;
     for (size_t i = 0; i < in_.serveStream.size(); ++i) {
         const Request &r = in_.serveStream[i];
+        const int64_t id = static_cast<int64_t>(i);
         const bool sampled = !r.cold && !r.tripsQuota && i % 8 == 0;
         const bool profile = r.line.rfind("{\"op\": \"profile\"", 0) == 0;
-        std::optional<Replayed> rep;
+        std::optional<Replayed> first;
         if (sampled)
-            rep = replay(solo, r.line, profile, &tr,
-                         static_cast<int64_t>(i));
+            first = replay(solo, r.line, profile, &tr, id);
         const uint64_t before = solo.translations();
         const int64_t t0 = nowNs();
         std::string response;
         {
-            Scope s(&tr, "serve.handle", static_cast<int64_t>(i));
+            Scope s(&tr, "serve.handle", id);
             response = solo.handle(r.line).response;
         }
         const double ms = msSince(t0);
@@ -335,20 +328,24 @@ ServeLoop::layers(Tally &t, Layers &out, std::vector<Tracer> &spans)
             warm_translations += solo.translations() - before;
             continue;
         }
-        t.op(sameAsResponse(*rep, response),
-             "replayed request differs from handle() for " + r.line);
-        // handle() right after the replay finds the instance translated
-        // for this hook set, so what it spends beyond the replayed
-        // calls (translation aside) is its own: parsing into a
+        const size_t from = again.spans.size();
+        Replayed second = replay(solo, r.line, profile, &again, id);
+        // What handle() spends beyond the calls it makes: writing the
         // response, error mapping, bookkeeping.
-        residual_us.push_back(ms * 1e3 - static_cast<double>(rep->layersNs) * 1e-3);
-        // The same request once more as the other op: profile's
-        // execute time against run's, same module and analysis.
+        int64_t layers_ns = 0;
+        for (size_t k = from; k < again.spans.size(); ++k)
+            layers_ns += again.spans[k].selfNs();
+        residual_us.push_back(ms * 1e3 -
+                              static_cast<double>(layers_ns) * 1e-3);
+        // The same request once more as the other op, in the same
+        // state: profile's execute time against run's, same module
+        // and analysis.
         Replayed other = replay(solo, r.line, !profile, nullptr, -1);
-        t.op(sameAsResponse(other, response),
-             "replayed request differs from handle() for " + r.line);
-        run_exec += profile ? other.executeNs : rep->executeNs;
-        profile_exec += profile ? rep->executeNs : other.executeNs;
+        for (const Replayed *rep : {&*first, &second, &other})
+            t.op(sameAsResponse(*rep, response),
+                 "replayed request differs from handle() for " + r.line);
+        run_exec += profile ? other.executeNs : second.executeNs;
+        profile_exec += profile ? second.executeNs : other.executeNs;
     }
 
     // One client, no tracing, no replay: the 1-client throughput.

@@ -88,17 +88,6 @@ percentile(std::vector<double> v, double p)
     return v[std::clamp<size_t>(rank, 1, v.size()) - 1];
 }
 
-inline double
-geomean(const std::vector<double> &v)
-{
-    if (v.empty())
-        throw std::invalid_argument("geomean of no samples");
-    double log_sum = 0;
-    for (double x : v)
-        log_sum += std::log(x);
-    return std::exp(log_sum / static_cast<double>(v.size()));
-}
-
 } // namespace perfbench
 
 #endif // PERFBENCH_STATS_H

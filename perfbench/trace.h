@@ -11,6 +11,8 @@
 #ifndef PERFBENCH_TRACE_H
 #define PERFBENCH_TRACE_H
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -25,6 +27,15 @@ nowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** CPU time of the whole process, every thread's, live or ended. */
+inline int64_t
+processCpuNs()
+{
+    timespec t{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t);
+    return static_cast<int64_t>(t.tv_sec) * 1000000000 + t.tv_nsec;
 }
 
 struct Span {
