@@ -1,6 +1,7 @@
 #include "core/hook_kind.h"
 
 #include <bit>
+#include <stdexcept>
 
 namespace wasabi::core {
 
@@ -43,6 +44,27 @@ hookKindByName(const std::string &hook_name)
             return k;
     }
     return std::nullopt;
+}
+
+HookSet
+parseHookSpec(const std::string &spec)
+{
+    if (spec.empty() || spec == "all")
+        return HookSet::all();
+    HookSet set;
+    for (size_t pos = 0, comma = 0; comma != std::string::npos;
+         pos = comma + 1) {
+        comma = spec.find(',', pos);
+        std::string kind_name = spec.substr(pos, comma - pos);
+        std::optional<HookKind> kind = hookKindByName(kind_name);
+        if (!kind)
+            throw std::invalid_argument(
+                kind_name.empty()
+                    ? "empty hook kind in \"" + spec + "\""
+                    : "unknown hook kind \"" + kind_name + "\"");
+        set.add(*kind);
+    }
+    return set;
 }
 
 std::optional<HookKind>

@@ -144,6 +144,14 @@ class HookSet {
     uint32_t bits_ = 0;
 };
 
+/**
+ * Parse a hook-set spec (`--hooks=` on the CLI, "hooks" in a serve
+ * request): "" or "all" selects every kind, otherwise a
+ * comma-separated list of hookKindByName() names. Throws
+ * std::invalid_argument on an unknown or empty element.
+ */
+HookSet parseHookSpec(const std::string &spec);
+
 /** The kinds of blocks begin/end hooks distinguish (paper Table 2). */
 enum class BlockKind : uint8_t {
     Function = 0,

@@ -1,11 +1,13 @@
 /**
  * @file
- * A minimal recursive-descent JSON reader for the observability
- * layer: schema validation of profile JSON (`wasabi profile
- * --check=`) and structural checks on Chrome trace-event output in
- * tests. Parse-only — the profile writers emit JSON by hand, this
- * reader verifies it. Not a general-purpose JSON library: numbers are
- * doubles, and input size is bounded by the caller. \uXXXX escapes
+ * The project's one JSON reader and its one string escaper. The
+ * reader is a minimal recursive-descent parser behind every JSON
+ * input: claim manifests (static/manifest.h types them), `wasabi
+ * serve` requests, and profile JSON (`wasabi profile --check=`, trace
+ * checks in tests). Writers emit JSON by hand and quote every string
+ * through escape(). Not a general-purpose JSON library: numbers are
+ * doubles, duplicate object keys are kept (typed readers reject
+ * them), and input size is bounded by the caller. \uXXXX escapes
  * decode to UTF-8, including surrogate pairs; lone or malformed
  * surrogates are rejected.
  */
@@ -53,6 +55,15 @@ struct Value {
  * (if non-null) on malformed input.
  */
 std::optional<Value> parse(const std::string &text, std::string *error);
+
+/**
+ * @p s escaped for use inside a JSON string literal (without the
+ * quotes): quote, backslash, newline, carriage return and tab get
+ * their short escapes, other bytes below 0x20 become \u00XX, and
+ * every other byte (UTF-8 included) passes through. parse() of the
+ * quoted result gives back @p s.
+ */
+std::string escape(const std::string &s);
 
 } // namespace wasabi::obs::json
 

@@ -7,6 +7,7 @@
 
 namespace wasabi::serve {
 
+using obs::json::escape;
 using obs::json::Value;
 
 wasm::Value
@@ -121,51 +122,26 @@ parseRequest(const std::string &line)
     return r;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
 ResponseWriter::ResponseWriter(bool ok, const std::string &op,
                                const std::string &id)
 {
     buf_ = std::string("{\"ok\": ") + (ok ? "true" : "false") +
-           ", \"op\": \"" + jsonEscape(op) + "\"";
+           ", \"op\": \"" + escape(op) + "\"";
     if (!id.empty())
-        buf_ += ", \"id\": \"" + jsonEscape(id) + "\"";
+        buf_ += ", \"id\": \"" + escape(id) + "\"";
 }
 
 void
 ResponseWriter::field(const std::string &key, const std::string &value)
 {
-    buf_ += ", \"" + jsonEscape(key) + "\": \"" + jsonEscape(value) + "\"";
+    buf_ += ", \"" + escape(key) + "\": \"" + escape(value) + "\"";
 }
 
 void
 ResponseWriter::fieldRaw(const std::string &key,
                          const std::string &raw_json)
 {
-    buf_ += ", \"" + jsonEscape(key) + "\": " + raw_json;
+    buf_ += ", \"" + escape(key) + "\": " + raw_json;
 }
 
 void
@@ -173,13 +149,13 @@ ResponseWriter::field(const std::string &key, uint64_t value)
 {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    buf_ += ", \"" + jsonEscape(key) + "\": " + buf;
+    buf_ += ", \"" + escape(key) + "\": " + buf;
 }
 
 void
 ResponseWriter::field(const std::string &key, bool value)
 {
-    buf_ += ", \"" + jsonEscape(key) + "\": " +
+    buf_ += ", \"" + escape(key) + "\": " +
             (value ? "true" : "false");
 }
 
@@ -196,11 +172,11 @@ errorResponse(const std::string &op, const std::string &id,
               const std::string &extra_value)
 {
     ResponseWriter w(false, op, id);
-    std::string err = "{\"code\": \"" + jsonEscape(code) +
-                      "\", \"message\": \"" + jsonEscape(message) + "\"";
+    std::string err = "{\"code\": \"" + escape(code) +
+                      "\", \"message\": \"" + escape(message) + "\"";
     if (!extra_key.empty())
-        err += ", \"" + jsonEscape(extra_key) + "\": \"" +
-               jsonEscape(extra_value) + "\"";
+        err += ", \"" + escape(extra_key) + "\": \"" +
+               escape(extra_value) + "\"";
     err += "}";
     w.fieldRaw("error", err);
     return w.result();

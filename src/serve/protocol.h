@@ -71,9 +71,6 @@ Request parseRequest(const std::string &line);
 /** Parse a "i32:5" / "i64:-1" / "f64:1.5" argument spec. */
 wasm::Value parseArgSpec(const std::string &spec);
 
-/** JSON string escaping for response payloads. */
-std::string jsonEscape(const std::string &s);
-
 /** Incremental response writer: one flat JSON object, fields appended
  * in call order, rendered with result(). */
 class ResponseWriter {

@@ -7,9 +7,10 @@
 #include "core/instrument.h"
 #include "interp/engine/code.h"
 #include "interp/interpreter.h"
+#include "obs/json.h"
 #include "obs/profile.h"
 #include "runtime/runtime.h"
-#include "support/file_io.h"
+#include "support/module_io.h"
 #include "wasm/encoder.h"
 
 namespace wasabi::serve {
@@ -33,27 +34,6 @@ struct GuestTrap : std::runtime_error {
     {
     }
 };
-
-core::HookSet
-parseHookSet(const std::string &spec)
-{
-    if (spec.empty() || spec == "all")
-        return core::HookSet::all();
-    core::HookSet set;
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        size_t comma = spec.find(',', pos);
-        std::string name = spec.substr(pos, comma - pos);
-        std::optional<core::HookKind> kind = core::hookKindByName(name);
-        if (!kind)
-            throw BadRequest("unknown hook kind \"" + name + "\"");
-        set.add(*kind);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return set;
-}
 
 std::string
 hex16(uint64_t v)
@@ -172,14 +152,10 @@ Server::opRun(const Request &r, bool with_profile)
     core::HookSet hook_set =
         r.hooks.empty()
             ? runtime::WasabiRuntime::requiredHooks({analysis.get()})
-            : parseHookSet(r.hooks);
+            : core::parseHookSpec(r.hooks);
 
-    std::string entry_name = r.entry;
-    if (entry_name.empty()) {
-        entry_name = "main";
-        if (!m.findFuncExport(entry_name) && m.findFuncExport("kernel"))
-            entry_name = "kernel";
-    }
+    std::string entry_name =
+        r.entry.empty() ? support::defaultEntry(m) : r.entry;
     if (!m.findFuncExport(entry_name))
         throw BadRequest("no exported function \"" + entry_name +
                          "\" in " + r.module);
@@ -263,7 +239,7 @@ Server::opRun(const Request &r, bool with_profile)
     std::string arr = "[";
     for (size_t i = 0; i < results.size(); ++i)
         arr += std::string(i ? ", " : "") + "\"" +
-               jsonEscape(toString(results[i])) + "\"";
+               obs::json::escape(toString(results[i])) + "\"";
     arr += "]";
     w.fieldRaw("results", arr);
     w.field("instructions", es.instructions);
@@ -294,7 +270,7 @@ Server::opInstrument(const Request &r)
     bool cache_hit = false;
     std::shared_ptr<CachedModule> entry =
         cache_.acquire(bytes, r.module, &cache_hit);
-    core::HookSet hook_set = parseHookSet(r.hooks);
+    core::HookSet hook_set = core::parseHookSpec(r.hooks);
     core::InstrumentResult res =
         core::instrument(*entry->module(), hook_set);
     std::vector<uint8_t> out = wasm::encodeModule(res.module);

@@ -1,9 +1,9 @@
 #include "static/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/control_stack.h"
+#include "obs/json.h"
 
 namespace wasabi::static_analysis {
 
@@ -53,27 +53,6 @@ instrToString(uint32_t instr)
     return std::to_string(instr);
 }
 
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 } // namespace
 
 std::string
@@ -116,7 +95,7 @@ toJson(const Diagnostics &ds)
         out += "\n  {\"severity\": \"";
         out += name(d.severity);
         out += "\", \"code\": \"";
-        appendEscaped(out, d.code);
+        out += obs::json::escape(d.code);
         out += "\"";
         if (d.func)
             out += ", \"func\": " + std::to_string(*d.func);
@@ -128,7 +107,7 @@ toJson(const Diagnostics &ds)
                        : std::to_string(*d.instr);
         }
         out += ", \"message\": \"";
-        appendEscaped(out, d.message);
+        out += obs::json::escape(d.message);
         out += "\"}";
     }
     out += first ? "]" : "\n]";

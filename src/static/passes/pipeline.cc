@@ -1,11 +1,12 @@
 #include "static/passes/pipeline.h"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
+#include <type_traits>
 
 #include "core/control_stack.h"
 #include "core/static_info.h"
+#include "static/manifest.h"
 #include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/summaries.h"
@@ -367,25 +368,34 @@ computePlan(const Module &m)
     return plan;
 }
 
-// ----- manifest serialization ----------------------------------------
+// ----- manifest ------------------------------------------------------
 
 namespace {
 
-core::Location
-unpackLoc(uint64_t key)
+/** Keys of a set or map in ascending order, for deterministic
+ * manifests. */
+template <typename Container>
+std::vector<uint64_t>
+sortedKeys(const Container &c)
 {
-    return core::Location{static_cast<uint32_t>(key >> 32),
-                          static_cast<uint32_t>(key)};
+    std::vector<uint64_t> keys;
+    keys.reserve(c.size());
+    for (const auto &e : c) {
+        if constexpr (std::is_integral_v<std::decay_t<decltype(e)>>)
+            keys.push_back(e);
+        else
+            keys.push_back(e.first);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
 }
 
-/** Sorted copy, for deterministic manifests. */
-template <typename Set>
-std::vector<uint64_t>
-sorted(const Set &s)
+/** Append the (func, instr) columns of packed location @p key. */
+void
+pushLoc(std::vector<uint32_t> &cols, uint64_t key)
 {
-    std::vector<uint64_t> v(s.begin(), s.end());
-    std::sort(v.begin(), v.end());
-    return v;
+    cols.push_back(static_cast<uint32_t>(key >> 32));
+    cols.push_back(static_cast<uint32_t>(key));
 }
 
 } // namespace
@@ -393,337 +403,74 @@ sorted(const Set &s)
 std::string
 planToManifest(const core::HookOptimizationPlan &plan)
 {
-    std::string out = "{\n  \"version\": 1,\n  \"skips\": [";
-    bool first = true;
-    for (uint64_t key : sorted(plan.skips)) {
-        core::Location loc = unpackLoc(key);
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(loc.func) + ", " +
-               std::to_string(loc.instr) + "]";
-        first = false;
+    ManifestWriter w(ManifestSchema::HookPlan);
+    std::vector<uint32_t> cols;
+    auto emit = [&](const char *key, size_t width) {
+        w.rows(key, width, cols);
+        cols.clear();
+    };
+    for (uint64_t key : sortedKeys(plan.skips))
+        pushLoc(cols, key);
+    emit("skips", 2);
+    for (uint64_t f : sortedKeys(plan.deadFunctions))
+        cols.push_back(static_cast<uint32_t>(f));
+    emit("deadFunctions", 1);
+    for (uint64_t key : sortedKeys(plan.constBrTableIndex)) {
+        pushLoc(cols, key);
+        cols.push_back(plan.constBrTableIndex.at(key));
     }
-    out += "],\n  \"deadFunctions\": [";
-    first = true;
-    for (uint64_t f : sorted(plan.deadFunctions)) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
+    emit("brTableToBr", 3);
+    for (uint64_t key : sortedKeys(plan.elidedBegins)) {
+        pushLoc(cols, key);
+        cols.push_back(static_cast<uint32_t>(key) + 1);
     }
-    out += "],\n  \"brTableToBr\": [";
-    first = true;
-    {
-        std::vector<uint64_t> keys;
-        for (const auto &[key, _] : plan.constBrTableIndex)
-            keys.push_back(key);
-        std::sort(keys.begin(), keys.end());
-        for (uint64_t key : keys) {
-            core::Location loc = unpackLoc(key);
-            out += std::string(first ? "" : ", ") + "[" +
-                   std::to_string(loc.func) + ", " +
-                   std::to_string(loc.instr) + ", " +
-                   std::to_string(plan.constBrTableIndex.at(key)) +
-                   "]";
-            first = false;
-        }
+    emit("elidedBlocks", 3);
+    for (uint64_t key : sortedKeys(plan.constCallTargets)) {
+        const auto &claim = plan.constCallTargets.at(key);
+        pushLoc(cols, key);
+        cols.insert(cols.end(), {claim.tableIndex, claim.target});
     }
-    out += "],\n  \"elidedBlocks\": [";
-    first = true;
-    for (uint64_t key : sorted(plan.elidedBegins)) {
-        core::Location loc = unpackLoc(key);
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(loc.func) + ", " +
-               std::to_string(loc.instr) + ", " +
-               std::to_string(loc.instr + 1) + "]";
-        first = false;
-    }
-    out += "],\n  \"callIndirectToCall\": [";
-    first = true;
-    {
-        std::vector<uint64_t> keys;
-        for (const auto &[key, _] : plan.constCallTargets)
-            keys.push_back(key);
-        std::sort(keys.begin(), keys.end());
-        for (uint64_t key : keys) {
-            core::Location loc = unpackLoc(key);
-            const auto &claim = plan.constCallTargets.at(key);
-            out += std::string(first ? "" : ", ") + "[" +
-                   std::to_string(loc.func) + ", " +
-                   std::to_string(loc.instr) + ", " +
-                   std::to_string(claim.tableIndex) + ", " +
-                   std::to_string(claim.target) + "]";
-            first = false;
-        }
-    }
-    out += "]\n}\n";
-    return out;
+    emit("callIndirectToCall", 4);
+    return w.finish();
 }
 
-// ----- manifest parsing ----------------------------------------------
-
-namespace {
-
-/** A minimal parser for the manifest's JSON subset: objects with
- * string keys, arrays, and non-negative integers. No external JSON
- * dependency is available (or needed). */
-class ManifestParser {
-  public:
-    explicit ManifestParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(core::HookOptimizationPlan &plan, std::string &error)
-    {
-        skipWs();
-        if (!expect('{')) {
-            error = err_;
-            return false;
-        }
-        bool first = true;
-        while (true) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(',')) {
-                error = err_;
-                return false;
-            }
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key)) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!expect(':')) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!parseField(key, plan)) {
-                error = err_;
-                return false;
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing characters after manifest object";
-            return false;
-        }
-        if (!sawVersion_) {
-            error = "manifest lacks a \"version\" field";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c) {
-            err_ = std::string("expected '") + c + "' at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                err_ = "escape sequences not supported in manifest "
-                       "keys";
-                return false;
-            }
-            out += text_[pos_++];
-        }
-        return expect('"');
-    }
-
-    bool
-    parseUint(uint64_t &out)
-    {
-        if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-            err_ = "expected a number at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        out = 0;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) {
-            out = out * 10 + static_cast<uint64_t>(peek() - '0');
-            if (out > 0xFFFFFFFFull) {
-                err_ = "number out of range at offset " +
-                       std::to_string(pos_);
-                return false;
-            }
-            ++pos_;
-        }
-        return true;
-    }
-
-    /** Parse "[n, n, ...]" rows of fixed width into @p rows. */
-    bool
-    parseRows(size_t width, std::vector<std::vector<uint64_t>> &rows)
-    {
-        if (!expect('['))
-            return false;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::vector<uint64_t> row;
-            if (width == 1) {
-                uint64_t v;
-                if (!parseUint(v))
-                    return false;
-                row.push_back(v);
-            } else {
-                if (!expect('['))
-                    return false;
-                for (size_t k = 0; k < width; ++k) {
-                    skipWs();
-                    if (k && !expect(','))
-                        return false;
-                    skipWs();
-                    uint64_t v;
-                    if (!parseUint(v))
-                        return false;
-                    row.push_back(v);
-                }
-                skipWs();
-                if (!expect(']'))
-                    return false;
-            }
-            rows.push_back(std::move(row));
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    bool
-    parseField(const std::string &key,
-               core::HookOptimizationPlan &plan)
-    {
-        if (key == "version") {
-            uint64_t v;
-            if (!parseUint(v))
-                return false;
-            if (v != 1) {
-                err_ = "unsupported manifest version " +
-                       std::to_string(v);
-                return false;
-            }
-            sawVersion_ = true;
-            return true;
-        }
-        std::vector<std::vector<uint64_t>> rows;
-        if (key == "skips") {
-            if (!parseRows(2, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.skips.insert(core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])}));
-            return true;
-        }
-        if (key == "deadFunctions") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.deadFunctions.insert(
-                    static_cast<uint32_t>(r[0]));
-            return true;
-        }
-        if (key == "brTableToBr") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.constBrTableIndex[core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])})] =
-                    static_cast<uint32_t>(r[2]);
-            return true;
-        }
-        if (key == "callIndirectToCall") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.constCallTargets[core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])})] =
-                    core::HookOptimizationPlan::CallTargetClaim{
-                        static_cast<uint32_t>(r[2]),
-                        static_cast<uint32_t>(r[3])};
-            return true;
-        }
-        if (key == "elidedBlocks") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows) {
-                if (r[2] != r[1] + 1) {
-                    err_ = "elided block end must be begin + 1";
-                    return false;
-                }
-                plan.elidedBegins.insert(core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])}));
-                plan.elidedEnds.insert(core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[2])}));
-            }
-            return true;
-        }
-        err_ = "unknown manifest field \"" + key + "\"";
-        return false;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    bool sawVersion_ = false;
-    std::string err_;
-};
-
-} // namespace
+std::optional<core::HookOptimizationPlan>
+planFromManifest(const obs::json::Value &doc, std::string *error)
+{
+    core::HookOptimizationPlan plan;
+    ManifestReader r(doc, ManifestSchema::HookPlan);
+    auto loc = [](const uint32_t *row) {
+        return core::packLoc({row[0], row[1]});
+    };
+    r.rows("skips", 2,
+           [&](const uint32_t *row) { plan.skips.insert(loc(row)); });
+    r.rows("deadFunctions", 1, [&](const uint32_t *row) {
+        plan.deadFunctions.insert(row[0]);
+    });
+    r.rows("brTableToBr", 3, [&](const uint32_t *row) {
+        plan.constBrTableIndex[loc(row)] = row[2];
+    });
+    r.rows("elidedBlocks", 3, [&](const uint32_t *row) {
+        if (row[2] != uint64_t{row[1]} + 1)
+            return r.fail("elided block end must be begin + 1");
+        plan.elidedBegins.insert(loc(row));
+        plan.elidedEnds.insert(core::packLoc({row[0], row[2]}));
+    });
+    r.rows("callIndirectToCall", 4, [&](const uint32_t *row) {
+        plan.constCallTargets[loc(row)] = {row[2], row[3]};
+    });
+    if (!r.done(error))
+        return std::nullopt;
+    return plan;
+}
 
 std::optional<core::HookOptimizationPlan>
 planFromManifest(const std::string &text, std::string *error)
 {
-    core::HookOptimizationPlan plan;
-    std::string err;
-    if (!ManifestParser(text).parse(plan, err)) {
-        if (error)
-            *error = err;
+    std::optional<obs::json::Value> doc = obs::json::parse(text, error);
+    if (!doc)
         return std::nullopt;
-    }
-    return plan;
+    return planFromManifest(*doc, error);
 }
 
 } // namespace wasabi::static_analysis::passes

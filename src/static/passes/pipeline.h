@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/opt_plan.h"
+#include "obs/json.h"
 #include "static/diagnostics.h"
 #include "wasm/module.h"
 
@@ -92,12 +93,15 @@ emptyBlockPairs(const wasm::Module &m, uint32_t func_idx);
 std::string planToManifest(const core::HookOptimizationPlan &plan);
 
 /**
- * Parse an optimization manifest. Returns std::nullopt and sets
- * @p error on malformed input; the *claims* themselves are verified
- * later by the checker, not here.
+ * Parse an optimization manifest (as text, or as a parsed document
+ * whose manifestSchema() is a hook plan). Returns std::nullopt and
+ * sets @p error on malformed input; the *claims* themselves are
+ * verified later by the checker, not here.
  */
 std::optional<core::HookOptimizationPlan>
 planFromManifest(const std::string &text, std::string *error);
+std::optional<core::HookOptimizationPlan>
+planFromManifest(const obs::json::Value &doc, std::string *error);
 
 } // namespace wasabi::static_analysis::passes
 

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "static/diagnostics.h"
 #include "wasm/module.h"
 
@@ -182,13 +183,16 @@ RangeClaims provableRangeClaims(const ModuleRanges &mr);
 /** Serialize to the "wasabi-range-manifest" v1 JSON format. */
 std::string rangeClaimsToManifest(const RangeClaims &c);
 
-/** Does @p text declare `"schema": "wasabi-range-manifest"` at the
- * top level? Parses the object structurally (a substring sniff would
- * misroute files that merely mention the schema string in a value). */
+/** Is @p text JSON whose top-level "schema" is
+ * "wasabi-range-manifest" (manifestSchema() in static/manifest.h)? A
+ * file that merely mentions the string in a value is not. */
 bool isRangeManifest(const std::string &text);
 
-/** Parse a manifest; on failure returns false and sets @p error. */
+/** Parse a manifest (as text, or as a parsed document); on failure
+ * returns false and sets @p error. */
 bool rangeClaimsFromManifest(const std::string &text, RangeClaims *out,
+                             std::string *error);
+bool rangeClaimsFromManifest(const obs::json::Value &doc, RangeClaims *out,
                              std::string *error);
 
 /**

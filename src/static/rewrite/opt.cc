@@ -1,14 +1,17 @@
 #include "static/rewrite/opt.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <bit>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "core/control_stack.h"
 #include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/table_layout.h"
+#include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
 #include "static/rewrite/rewrite.h"
@@ -857,457 +860,71 @@ optimize(const Module &m, const std::vector<std::string> &passes)
 
 // ----- manifest ------------------------------------------------------
 
+namespace {
+
+/** Manifest columns of one claim: its uint32 members in declaration
+ * order, which is the row order. */
+template <typename Claim>
+constexpr size_t
+columns()
+{
+    static_assert(std::has_unique_object_representations_v<Claim> &&
+                  sizeof(Claim) % sizeof(uint32_t) == 0);
+    return sizeof(Claim) / sizeof(uint32_t);
+}
+
+template <typename Claim>
+using Row = std::array<uint32_t, columns<Claim>()>;
+
+} // namespace
+
 std::string
 claimsToManifest(const OptClaims &claims)
 {
-    std::string out = "{\n  \"schema\": \"wasabi-opt-manifest\",\n"
-                      "  \"version\": 1,\n  \"passes\": [";
-    bool first = true;
-    for (const std::string &p : claims.passes) {
-        out += std::string(first ? "" : ", ") + "\"" + p + "\"";
-        first = false;
-    }
-    out += "],\n  \"strippedFunctions\": [";
-    first = true;
-    for (uint32_t f : claims.strippedFunctions) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"directCalls\": [";
-    first = true;
-    for (const DirectCallClaim &c : claims.directCalls) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.typeIdx) + ", " +
-               std::to_string(c.target) + "]";
-        first = false;
-    }
-    out += "],\n  \"ipoConstArgs\": [";
-    first = true;
-    for (const IpoConstArgClaim &c : claims.ipoConstArgs) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.local) + ", " +
-               std::to_string(c.value) + "]";
-        first = false;
-    }
-    out += "],\n  \"ipoConstReturns\": [";
-    first = true;
-    for (const IpoConstReturnClaim &c : claims.ipoConstReturns) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.callee) + ", " +
-               std::to_string(c.value) + "]";
-        first = false;
-    }
-    out += "],\n  \"inlinedCalls\": [";
-    first = true;
-    for (const InlineClaim &c : claims.inlinedCalls) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.callee) + "]";
-        first = false;
-    }
-    out += "],\n  \"inlineStripped\": [";
-    first = true;
-    for (uint32_t f : claims.inlineStripped) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"tableSlots\": [";
-    first = true;
-    for (const TableSlotClaim &c : claims.tableSlots) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.oldSlot) + ", " +
-               std::to_string(c.funcIdx) + "]";
-        first = false;
-    }
-    out += "],\n  \"tableIndexRewrites\": [";
-    first = true;
-    for (const TableIndexRewriteClaim &c : claims.tableIndexRewrites) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.oldIndex) + ", " +
-               std::to_string(c.newIndex) + "]";
-        first = false;
-    }
-    out += "],\n  \"tableStripped\": [";
-    first = true;
-    for (uint32_t f : claims.tableStripped) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"constFolds\": [";
-    first = true;
-    for (const ConstFoldClaim &c : claims.constFolds) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.first) +
-               ", " + std::to_string(c.count) + ", " +
-               std::to_string(c.value) + "]";
-        first = false;
-    }
-    out += "],\n  \"deadStores\": [";
-    first = true;
-    for (const DeadStoreClaim &c : claims.deadStores) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.local) + "]";
-        first = false;
-    }
-    out += "],\n  \"emptyBlocks\": [";
-    first = true;
-    for (const EmptyBlockClaim &c : claims.emptyBlocks) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.begin) +
-               "]";
-        first = false;
-    }
-    out += "]\n}\n";
-    return out;
+    ManifestWriter w(ManifestSchema::Opt);
+    w.strings("passes", claims.passes);
+    OptClaims::forEachKind(claims, [&](const char *key, const auto &list) {
+        using Claim = typename std::decay_t<decltype(list)>::value_type;
+        std::vector<uint32_t> cols;
+        cols.reserve(list.size() * columns<Claim>());
+        for (const Claim &c : list) {
+            Row<Claim> row = std::bit_cast<Row<Claim>>(c);
+            cols.insert(cols.end(), row.begin(), row.end());
+        }
+        w.rows(key, columns<Claim>(), cols);
+    });
+    return w.finish();
 }
 
-namespace {
-
-/** Minimal parser for the opt manifest's JSON subset: one object with
- * string keys, string values, and arrays of strings / non-negative
- * integers / fixed-width integer rows. No external JSON dependency is
- * available (or needed). */
-class OptManifestParser {
-  public:
-    explicit OptManifestParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(OptClaims &claims, std::string &error)
-    {
-        skipWs();
-        if (!expect('{')) {
-            error = err_;
-            return false;
-        }
-        bool first = true;
-        while (true) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(',')) {
-                error = err_;
-                return false;
-            }
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key)) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!expect(':')) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!parseField(key, claims)) {
-                error = err_;
-                return false;
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing characters after manifest object";
-            return false;
-        }
-        if (!sawSchema_) {
-            error = "manifest lacks a \"schema\" field";
-            return false;
-        }
-        if (!sawVersion_) {
-            error = "manifest lacks a \"version\" field";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c) {
-            err_ = std::string("expected '") + c + "' at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                err_ = "escape sequences are not supported";
-                return false;
-            }
-            out += text_[pos_++];
-        }
-        return expect('"');
-    }
-
-    bool
-    parseUint(uint64_t &out)
-    {
-        if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-            err_ = "expected integer at offset " + std::to_string(pos_);
-            return false;
-        }
-        out = 0;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) {
-            out = out * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-            if (out > 0xFFFFFFFFull) {
-                err_ = "integer out of range at offset " +
-                       std::to_string(pos_);
-                return false;
-            }
-            ++pos_;
-        }
-        return true;
-    }
-
-    /** Parse `[n, n, ...]` rows of exactly @p width into @p rows. */
-    bool
-    parseRows(size_t width, std::vector<std::vector<uint32_t>> &rows)
-    {
-        if (!expect('['))
-            return false;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::vector<uint32_t> row;
-            if (width == 1) {
-                uint64_t v;
-                if (!parseUint(v))
-                    return false;
-                row.push_back(static_cast<uint32_t>(v));
-            } else {
-                if (!expect('['))
-                    return false;
-                for (size_t k = 0; k < width; ++k) {
-                    skipWs();
-                    if (k > 0 && !expect(','))
-                        return false;
-                    skipWs();
-                    uint64_t v;
-                    if (!parseUint(v))
-                        return false;
-                    row.push_back(static_cast<uint32_t>(v));
-                }
-                skipWs();
-                if (!expect(']'))
-                    return false;
-            }
-            rows.push_back(std::move(row));
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    bool
-    parseField(const std::string &key, OptClaims &claims)
-    {
-        if (key == "schema") {
-            std::string schema;
-            if (!parseString(schema))
-                return false;
-            if (schema != "wasabi-opt-manifest") {
-                err_ = "unexpected schema \"" + schema + "\"";
-                return false;
-            }
-            sawSchema_ = true;
-            return true;
-        }
-        if (key == "version") {
-            uint64_t v;
-            if (!parseUint(v))
-                return false;
-            if (v != 1) {
-                err_ = "unsupported manifest version " +
-                       std::to_string(v);
-                return false;
-            }
-            sawVersion_ = true;
-            return true;
-        }
-        if (key == "passes") {
-            if (!expect('['))
-                return false;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string p;
-                if (!parseString(p))
-                    return false;
-                claims.passes.push_back(std::move(p));
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return expect(']');
-            }
-        }
-        std::vector<std::vector<uint32_t>> rows;
-        if (key == "strippedFunctions") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.strippedFunctions.push_back(r[0]);
-            return true;
-        }
-        if (key == "directCalls") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.directCalls.push_back(
-                    DirectCallClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "ipoConstArgs") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.ipoConstArgs.push_back(
-                    IpoConstArgClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "ipoConstReturns") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.ipoConstReturns.push_back(
-                    IpoConstReturnClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "inlinedCalls") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.inlinedCalls.push_back(
-                    InlineClaim{r[0], r[1], r[2]});
-            return true;
-        }
-        if (key == "inlineStripped") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.inlineStripped.push_back(r[0]);
-            return true;
-        }
-        if (key == "tableSlots") {
-            if (!parseRows(2, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.tableSlots.push_back(TableSlotClaim{r[0], r[1]});
-            return true;
-        }
-        if (key == "tableIndexRewrites") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.tableIndexRewrites.push_back(
-                    TableIndexRewriteClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "tableStripped") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.tableStripped.push_back(r[0]);
-            return true;
-        }
-        if (key == "constFolds") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.constFolds.push_back(
-                    ConstFoldClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "deadStores") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.deadStores.push_back(
-                    DeadStoreClaim{r[0], r[1], r[2]});
-            return true;
-        }
-        if (key == "emptyBlocks") {
-            if (!parseRows(2, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.emptyBlocks.push_back(EmptyBlockClaim{r[0], r[1]});
-            return true;
-        }
-        err_ = "unknown manifest field \"" + key + "\"";
-        return false;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    std::string err_;
-    bool sawSchema_ = false;
-    bool sawVersion_ = false;
-};
-
-} // namespace
+bool
+claimsFromManifest(const obs::json::Value &doc, OptClaims &claims,
+                   std::string *error)
+{
+    ManifestReader r(doc, ManifestSchema::Opt);
+    r.strings("passes", claims.passes);
+    OptClaims::forEachKind(claims, [&](const char *key, auto &list) {
+        using Claim = typename std::decay_t<decltype(list)>::value_type;
+        r.rows(key, columns<Claim>(), [&](const uint32_t *cols) {
+            Row<Claim> row{};
+            std::copy_n(cols, row.size(), row.begin());
+            list.push_back(std::bit_cast<Claim>(row));
+        });
+    });
+    return r.done(error);
+}
 
 bool
 claimsFromManifest(const std::string &text, OptClaims &claims,
                    std::string *error)
 {
-    std::string err;
-    if (!OptManifestParser(text).parse(claims, err)) {
-        if (error)
-            *error = err;
-        return false;
-    }
-    return true;
+    std::optional<obs::json::Value> doc = obs::json::parse(text, error);
+    return doc && claimsFromManifest(*doc, claims, error);
 }
 
 bool
 isOptManifest(const std::string &text)
 {
-    return text.find("\"wasabi-opt-manifest\"") != std::string::npos;
+    return hasManifestSchema(text, ManifestSchema::Opt);
 }
 
 // ----- checker -------------------------------------------------------

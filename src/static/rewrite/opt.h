@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "static/diagnostics.h"
 #include "wasm/module.h"
 
@@ -167,15 +168,38 @@ struct OptClaims {
     std::vector<DeadStoreClaim> deadStores;
     std::vector<EmptyBlockClaim> emptyBlocks;
 
+    /**
+     * Call @p fn(key, list) for every claim list of @p self, in
+     * manifest order: the one table of claim kinds that the manifest
+     * writer and reader walk. A claim's manifest row is its uint32
+     * members in declaration order.
+     */
+    template <typename Self, typename Fn>
+    static void
+    forEachKind(Self &self, Fn &&fn)
+    {
+        fn("strippedFunctions", self.strippedFunctions);
+        fn("directCalls", self.directCalls);
+        fn("ipoConstArgs", self.ipoConstArgs);
+        fn("ipoConstReturns", self.ipoConstReturns);
+        fn("inlinedCalls", self.inlinedCalls);
+        fn("inlineStripped", self.inlineStripped);
+        fn("tableSlots", self.tableSlots);
+        fn("tableIndexRewrites", self.tableIndexRewrites);
+        fn("tableStripped", self.tableStripped);
+        fn("constFolds", self.constFolds);
+        fn("deadStores", self.deadStores);
+        fn("emptyBlocks", self.emptyBlocks);
+    }
+
     size_t
     totalClaims() const
     {
-        return strippedFunctions.size() + directCalls.size() +
-               ipoConstArgs.size() + ipoConstReturns.size() +
-               inlinedCalls.size() + inlineStripped.size() +
-               tableSlots.size() + tableIndexRewrites.size() +
-               tableStripped.size() + constFolds.size() +
-               deadStores.size() + emptyBlocks.size();
+        size_t n = 0;
+        forEachKind(*this, [&](const char *, const auto &list) {
+            n += list.size();
+        });
+        return n;
     }
 };
 
@@ -212,14 +236,17 @@ OptResult optimize(const wasm::Module &m,
 std::string claimsToManifest(const OptClaims &claims);
 
 /**
- * Parse a manifest produced by claimsToManifest. Returns false and
- * sets @p error on malformed input.
+ * Parse a manifest produced by claimsToManifest (as text, or as a
+ * parsed document), appending to @p claims. Returns false and sets
+ * @p error on malformed input.
  */
 bool claimsFromManifest(const std::string &text, OptClaims &claims,
                         std::string *error);
+bool claimsFromManifest(const obs::json::Value &doc, OptClaims &claims,
+                        std::string *error);
 
-/** Cheap sniff: does this text look like an opt manifest (vs a
- * hook-optimization plan manifest)? */
+/** Is @p text JSON whose top-level "schema" is "wasabi-opt-manifest"
+ * (manifestSchema() in static/manifest.h)? */
 bool isOptManifest(const std::string &text);
 
 /**

@@ -46,6 +46,20 @@ loadModuleFromFile(const std::string &path)
     return loadModuleFromBytes(readBinaryFile(path), path);
 }
 
+/**
+ * The export `run`, `profile` and a serve request invoke when no
+ * entry is named: "main", else "kernel" (the PolyBench generators'
+ * export) if that exists, else "main" so the caller's missing-export
+ * error names it.
+ */
+inline std::string
+defaultEntry(const wasm::Module &m)
+{
+    return !m.findFuncExport("main") && m.findFuncExport("kernel")
+               ? "kernel"
+               : "main";
+}
+
 } // namespace wasabi::support
 
 #endif // WASABI_SUPPORT_MODULE_IO_H

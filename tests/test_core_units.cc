@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "core/control_stack.h"
+#include "core/hook_kind.h"
 #include "core/hook_map.h"
 #include "core/static_info.h"
 #include "wasm/builder.h"
@@ -55,6 +57,17 @@ TEST(HookSetTest, FigureOrderHas21Kinds)
     EXPECT_EQ(figureOrderHookKinds().size(), 21u);
     EXPECT_EQ(figureOrderHookKinds().front(), HookKind::Nop);
     EXPECT_EQ(figureOrderHookKinds().back(), HookKind::BrTable);
+}
+
+TEST(HookSetTest, ParseHookSpecAcceptsListsAndRejectsEmptyElements)
+{
+    EXPECT_EQ(parseHookSpec(""), HookSet::all());
+    EXPECT_EQ(parseHookSpec("all"), HookSet::all());
+    EXPECT_EQ(parseHookSpec("call,load"),
+              (HookSet{HookKind::Call, HookKind::Load}));
+    EXPECT_THROW(parseHookSpec("call,"), std::invalid_argument);
+    EXPECT_THROW(parseHookSpec("call,,load"), std::invalid_argument);
+    EXPECT_THROW(parseHookSpec("bogus"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

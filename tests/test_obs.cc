@@ -98,6 +98,19 @@ TEST(Json, RejectsExcessiveNesting)
     EXPECT_NE(err.find("nesting"), std::string::npos);
 }
 
+TEST(Json, EscapeRoundTripsEveryAsciiByte)
+{
+    for (int c = 0x01; c <= 0x7F; ++c) {
+        std::string s = "a" + std::string(1, static_cast<char>(c)) + "b";
+        std::string err;
+        std::optional<json::Value> v =
+            json::parse("\"" + json::escape(s) + "\"", &err);
+        ASSERT_TRUE(v.has_value()) << "byte " << c << ": " << err;
+        ASSERT_TRUE(v->isString());
+        EXPECT_EQ(v->str, s) << "byte " << c;
+    }
+}
+
 // --- profiled end-to-end run ----------------------------------------
 
 /** Observes everything, does nothing. */

@@ -533,6 +533,11 @@ TEST(OptManifest, MalformedInputIsRejected)
         "{\"schema\": \"wasabi-opt-manifest\", \"version\": 2}", claims,
         &error));
     EXPECT_FALSE(isOptManifest("{\"schema\": \"wasabi-hook-plan\"}"));
+    // The schema is read structurally: mentioning the opt schema in a
+    // value routes nowhere near the opt checker.
+    EXPECT_FALSE(isOptManifest("{\"schema\": \"wasabi-range-manifest\", "
+                               "\"note\": \"wasabi-opt-manifest\"}"));
+    EXPECT_FALSE(isOptManifest("{\"passes\": [\"wasabi-opt-manifest\"]}"));
 }
 
 TEST(OptCheck, RejectsTamperedBinary)

@@ -519,6 +519,7 @@ TEST(Manifest, MalformedInputIsRejectedWithAnError)
         "{\"version\": 1, \"skips\": [[1]]}",       // wrong row width
         "{\"version\": 1, \"skips\": [[1, -2]]}",   // negative
         "{\"version\": 1, \"elidedBlocks\": [[0, 4, 9]]}", // not begin+1
+        "{\"version\": 1, \"skips\": [[0, 1]], \"skips\": [[0, 2]]}", // dup
     };
     for (const char *text : bad) {
         std::string error;

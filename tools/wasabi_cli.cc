@@ -56,10 +56,12 @@
 #include "core/intrinsic_info.h"
 #include "interp/engine/code.h"
 #include "interp/interpreter.h"
+#include "obs/json.h"
 #include "obs/profile.h"
 #include "static/analyze.h"
 #include "static/check.h"
 #include "static/interproc/ipcp.h"
+#include "static/manifest.h"
 #include "static/passes/pipeline.h"
 #include "static/passes/range.h"
 #include "static/rewrite/opt.h"
@@ -124,33 +126,6 @@ wasm::Module
 loadModule(const std::string &path)
 {
     return support::loadModuleFromFile(path);
-}
-
-core::HookSet
-parseHooks(const std::string &spec)
-{
-    if (spec == "all" || spec.empty())
-        return core::HookSet::all();
-    core::HookSet set;
-    size_t pos = 0;
-    while (pos < spec.size()) {
-        size_t comma = spec.find(',', pos);
-        std::string name = spec.substr(pos, comma - pos);
-        bool found = false;
-        for (int i = 0; i < core::kNumHookKinds; ++i) {
-            auto kind = static_cast<core::HookKind>(i);
-            if (name == core::name(kind)) {
-                set.add(kind);
-                found = true;
-            }
-        }
-        if (!found)
-            throw std::runtime_error("unknown hook kind: " + name);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return set;
 }
 
 interp::EngineKind
@@ -256,7 +231,7 @@ cmdInstrument(const std::vector<std::string> &args)
     }
     core::InstrumentResult r = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "instrument");
-        return core::instrument(m, parseHooks(hooks), opts);
+        return core::instrument(m, core::parseHookSpec(hooks), opts);
     }();
     collector.recordInstrumentation(r.stats);
     std::vector<uint8_t> out = [&] {
@@ -355,7 +330,7 @@ applyElisions(const wasm::Module &m, const std::string &manifest_path,
 int
 cmdRun(const std::vector<std::string> &args)
 {
-    std::string path, entry = "main", analysis = "mix", profile_out;
+    std::string path, entry, analysis = "mix", profile_out;
     std::string elide_manifest;
     bool profile = false, elide = false;
     interp::EngineKind engine = interp::EngineKind::Fast;
@@ -404,6 +379,8 @@ cmdRun(const std::vector<std::string> &args)
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
         return loadModule(path);
     }();
+    if (entry.empty())
+        entry = support::defaultEntry(m);
     auto a = makeAnalysis(analysis);
     core::HookSet hook_set =
         runtime::WasabiRuntime::requiredHooks({a.get()});
@@ -540,7 +517,7 @@ cmdProfile(const std::vector<std::string> &args)
     auto a = makeAnalysis(analysis);
     core::HookSet hook_set =
         hooks.empty() ? runtime::WasabiRuntime::requiredHooks({a.get()})
-                      : parseHooks(hooks);
+                      : core::parseHookSpec(hooks);
     core::InstrumentResult r; // rewrite mode only
     std::shared_ptr<const core::StaticInfo> info;
     if (mode == InstrumentMode::Intrinsic) {
@@ -561,13 +538,8 @@ cmdProfile(const std::vector<std::string> &args)
     if (elide || !elide_manifest.empty())
         applyElisions(mode == InstrumentMode::Intrinsic ? m : r.module,
                       elide_manifest, *inst, engine);
-    // PolyBench workloads export `kernel`, applications `main`; with
-    // no explicit --entry try both.
-    if (entry.empty()) {
-        entry = "main";
-        if (!m.findFuncExport(entry) && m.findFuncExport("kernel"))
-            entry = "kernel";
-    }
+    if (entry.empty())
+        entry = support::defaultEntry(m);
     interp::Interpreter interp;
     interp.engine = engine;
     {
@@ -891,6 +863,26 @@ cmdOpt(const std::vector<std::string> &args)
     return 0;
 }
 
+/**
+ * Print @p diags for `check`/`lint` (JSON, or text with @p ok_line
+ * when there are none) and return the exit code: 0 clean, 3 findings.
+ */
+int
+reportDiagnostics(const static_analysis::Diagnostics &diags, bool json,
+                  const std::string &ok_line)
+{
+    if (json) {
+        std::fputs(static_analysis::toJson(diags).c_str(), stdout);
+        std::fputs("\n", stdout);
+    } else if (diags.empty()) {
+        std::printf("OK: %s\n", ok_line.c_str());
+    } else {
+        std::fputs(static_analysis::toString(diags).c_str(), stdout);
+        std::printf("%zu finding(s)\n", diags.size());
+    }
+    return diags.empty() ? 0 : 3;
+}
+
 int
 cmdCheck(const std::vector<std::string> &args)
 {
@@ -899,7 +891,7 @@ cmdCheck(const std::vector<std::string> &args)
     bool json = false;
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
-            opts.hooks = parseHooks(a.substr(8));
+            opts.hooks = core::parseHookSpec(a.substr(8));
         else if (a == "--no-split-i64")
             opts.splitI64 = false;
         else if (a.rfind("--import-module=", 0) == 0)
@@ -915,104 +907,83 @@ cmdCheck(const std::vector<std::string> &args)
         else
             instr_path = a;
     }
-    std::string manifest_text;
+    namespace sa = static_analysis;
+    const char *usage =
+        "usage: check <orig.wasm> <instrumented.wasm> [opts]";
+    if (orig_path.empty())
+        throw UsageError(usage);
+    // The manifest is parsed once; its top-level "schema" picks the
+    // checker (none: hook plan).
+    std::optional<obs::json::Value> doc;
+    sa::ManifestSchema schema = sa::ManifestSchema::HookPlan;
+    std::string error;
     if (!manifest_path.empty()) {
         std::vector<uint8_t> bytes = readFile(manifest_path);
-        manifest_text.assign(bytes.begin(), bytes.end());
-    }
-    if (static_analysis::passes::isRangeManifest(manifest_text)) {
-        // Range-claim manifest: checked against the original module
-        // alone — there is no second binary, the claims license
-        // engine bounds-check elision on the original itself.
-        if (orig_path.empty() || !instr_path.empty())
-            throw UsageError("usage: check <orig.wasm> "
-                             "--manifest=<range-manifest> [--json]");
-        wasm::Module orig = loadModule(orig_path);
-        static_analysis::Diagnostics diags =
-            static_analysis::checkRangeManifest(orig, manifest_text);
-        if (json) {
-            std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-            std::fputs("\n", stdout);
-        } else if (diags.empty()) {
-            static_analysis::passes::RangeClaims rc;
-            std::string perr;
-            static_analysis::passes::rangeClaimsFromManifest(
-                manifest_text, &rc, &perr);
-            std::printf("OK: all %zu range claim(s) re-proved\n",
-                        rc.claims.size());
-        } else {
-            std::fputs(static_analysis::toString(diags).c_str(),
-                       stdout);
-            std::printf("%zu finding(s)\n", diags.size());
-        }
-        return diags.empty() ? 0 : 3;
-    }
-    if (orig_path.empty() || instr_path.empty()) {
-        // A single positional plus --manifest= is only meaningful for
-        // a range manifest; anything else here is a broken file, not
-        // a usage mistake.
-        if (!manifest_path.empty() && !orig_path.empty() &&
-            instr_path.empty())
-            throw std::runtime_error(
-                "manifest " + manifest_path +
-                " is not a wasabi-range-manifest (malformed or wrong "
-                "schema); two-binary manifests need <orig.wasm> "
-                "<instrumented.wasm>");
-        throw UsageError(
-            "usage: check <orig.wasm> <instrumented.wasm> [opts]");
-    }
-    if (!manifest_path.empty()) {
-        const std::string &text = manifest_text;
-        if (static_analysis::rewrite::isOptManifest(text)) {
-            // `wasabi opt` manifest: re-prove every optimization claim
-            // against the original module and require the replayed
-            // result to match the optimized binary byte-for-byte.
-            std::string error;
-            static_analysis::rewrite::OptClaims claims;
-            if (!static_analysis::rewrite::claimsFromManifest(text, claims,
-                                                              &error))
-                throw std::runtime_error("malformed opt manifest " +
-                                         manifest_path + ": " + error);
-            wasm::Module orig = loadModule(orig_path);
-            static_analysis::Diagnostics diags =
-                static_analysis::rewrite::checkOptimization(
-                    orig, readFile(instr_path), claims);
-            if (json) {
-                std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-                std::fputs("\n", stdout);
-            } else if (diags.empty()) {
-                std::printf("OK: all %zu optimization claim(s) re-proved, "
-                            "output byte-identical to replay\n",
-                            claims.totalClaims());
-            } else {
-                std::fputs(static_analysis::toString(diags).c_str(),
-                           stdout);
-                std::printf("%zu finding(s)\n", diags.size());
-            }
-            return diags.empty() ? 0 : 3;
-        }
-        std::string error;
-        std::optional<core::HookOptimizationPlan> plan =
-            static_analysis::passes::planFromManifest(text, &error);
-        if (!plan)
+        doc = obs::json::parse(std::string(bytes.begin(), bytes.end()),
+                               &error);
+        std::optional<sa::ManifestSchema> s;
+        if (doc)
+            s = sa::manifestSchema(*doc, &error);
+        if (!s)
             throw std::runtime_error("malformed manifest " +
                                      manifest_path + ": " + error);
-        opts.plan = std::move(plan);
+        schema = *s;
     }
-    wasm::Module orig = loadModule(orig_path);
-    wasm::Module instr = loadModule(instr_path);
-    static_analysis::Diagnostics diags =
-        static_analysis::checkInstrumentation(orig, instr, opts);
-    if (json) {
-        std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-        std::fputs("\n", stdout);
-    } else if (diags.empty()) {
-        std::printf("OK: all instrumentation invariants hold\n");
-    } else {
-        std::fputs(static_analysis::toString(diags).c_str(), stdout);
-        std::printf("%zu finding(s)\n", diags.size());
+    // Range claims are checked against the original module alone:
+    // they license bounds-check elision on it, there is no second
+    // binary. Every other check compares two binaries.
+    if (schema == sa::ManifestSchema::Range && !instr_path.empty())
+        throw UsageError("usage: check <orig.wasm> "
+                         "--manifest=<range-manifest> [--json]");
+    if (schema != sa::ManifestSchema::Range && instr_path.empty()) {
+        if (!doc)
+            throw UsageError(usage);
+        throw std::runtime_error("manifest " + manifest_path + " (" +
+                                 sa::name(schema) + ") needs <orig.wasm> "
+                                 "<instrumented.wasm>");
     }
-    return diags.empty() ? 0 : 3;
+    switch (schema) {
+      case sa::ManifestSchema::Range: {
+        sa::passes::RangeClaims claims;
+        if (!sa::passes::rangeClaimsFromManifest(*doc, &claims, &error))
+            throw std::runtime_error("malformed range manifest " +
+                                     manifest_path + ": " + error);
+        return reportDiagnostics(
+            sa::passes::checkRangeClaims(loadModule(orig_path), claims,
+                                         1),
+            json,
+            "all " + std::to_string(claims.claims.size()) +
+                " range claim(s) re-proved");
+      }
+      case sa::ManifestSchema::Opt: {
+        // Re-prove every optimization claim against the original
+        // module and require the replayed result to match the
+        // optimized binary byte-for-byte.
+        sa::rewrite::OptClaims claims;
+        if (!sa::rewrite::claimsFromManifest(*doc, claims, &error))
+            throw std::runtime_error("malformed opt manifest " +
+                                     manifest_path + ": " + error);
+        return reportDiagnostics(
+            sa::rewrite::checkOptimization(loadModule(orig_path),
+                                           readFile(instr_path), claims),
+            json,
+            "all " + std::to_string(claims.totalClaims()) +
+                " optimization claim(s) re-proved, output "
+                "byte-identical to replay");
+      }
+      case sa::ManifestSchema::HookPlan:
+        if (doc) {
+            opts.plan = sa::passes::planFromManifest(*doc, &error);
+            if (!opts.plan)
+                throw std::runtime_error("malformed manifest " +
+                                         manifest_path + ": " + error);
+        }
+        return reportDiagnostics(
+            sa::checkInstrumentation(loadModule(orig_path),
+                                     loadModule(instr_path), opts),
+            json, "all instrumentation invariants hold");
+    }
+    return 1;
 }
 
 int
@@ -1033,18 +1004,8 @@ cmdLint(const std::vector<std::string> &args)
         std::fprintf(stderr, "INVALID: %s\n", err->c_str());
         return 1;
     }
-    static_analysis::Diagnostics diags =
-        static_analysis::passes::lintModule(m);
-    if (json) {
-        std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-        std::fputs("\n", stdout);
-    } else if (diags.empty()) {
-        std::printf("OK: no findings\n");
-    } else {
-        std::fputs(static_analysis::toString(diags).c_str(), stdout);
-        std::printf("%zu finding(s)\n", diags.size());
-    }
-    return diags.empty() ? 0 : 3;
+    return reportDiagnostics(static_analysis::passes::lintModule(m), json,
+                             "no findings");
 }
 
 int
@@ -1363,9 +1324,9 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "           [--engine=fast|legacy]\n"
             "           [--profile] [--profile-out=FILE]\n"
             "  Instrument, instantiate and execute the module with a\n"
-            "  dynamic analysis attached (default entry `main`,\n"
-            "  default analysis `mix`). Analyses: mix, blocks, icov,\n"
-            "  branch, callgraph, taint, miner, mem.\n"
+            "  dynamic analysis attached (default entry `main`, then\n"
+            "  `kernel`; default analysis `mix`). Analyses: mix,\n"
+            "  blocks, icov, branch, callgraph, taint, miner, mem.\n"
             "  --engine selects the execution engine: `fast` (the\n"
             "  pre-decoded default) or `legacy` (the structured\n"
             "  walker kept as the differential oracle); both are\n"
