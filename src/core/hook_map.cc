@@ -1,6 +1,6 @@
 #include "core/hook_map.h"
 
-#include <mutex>
+#include <unordered_map>
 
 namespace wasabi::core {
 
@@ -333,55 +333,6 @@ lowLevelType(const HookSpec &spec, bool split_i64)
         break;
     }
     return FuncType(std::move(params), {});
-}
-
-uint32_t
-HookMap::getOrAdd(const HookSpec &spec)
-{
-    std::string key = mangledName(spec);
-    {
-        std::shared_lock lock(mutex_);
-        auto it = byName_.find(key);
-        if (it != byName_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock lock(mutex_);
-    // Re-check: another thread may have inserted meanwhile.
-    auto it = byName_.find(key);
-    if (it != byName_.end())
-        return it->second;
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    uint32_t id = static_cast<uint32_t>(specs_.size());
-    specs_.push_back(spec);
-    byName_.emplace(std::move(key), id);
-    return id;
-}
-
-HookMap::Stats
-HookMap::stats() const
-{
-    Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.inserts = inserts_.load(std::memory_order_relaxed);
-    return s;
-}
-
-uint32_t
-HookMap::size() const
-{
-    std::shared_lock lock(mutex_);
-    return static_cast<uint32_t>(specs_.size());
-}
-
-std::vector<HookSpec>
-HookMap::specs() const
-{
-    std::shared_lock lock(mutex_);
-    return specs_;
 }
 
 } // namespace wasabi::core

@@ -1,26 +1,22 @@
 /**
  * @file
- * Low-level hook specifications and the on-demand monomorphization
- * hook map (paper §2.4.3).
+ * Low-level hook specifications for on-demand monomorphization
+ * (paper §2.4.3).
  *
  * WebAssembly functions must have fixed, monomorphic types, while
  * several instructions are polymorphic (drop, select, call, return,
  * locals/globals). Wasabi therefore generates one monomorphic
  * low-level hook per (instruction kind, concrete type) combination
- * that actually occurs in the program. The HookMap deduplicates
- * these specs and assigns dense hook ids; it is shared across the
- * per-function instrumentation threads and guarded by a
- * readers/writer lock, mirroring the paper's implementation (§3).
+ * that actually occurs in the program. The instrumenter deduplicates
+ * these specs: each function keeps its own hook table, and the tables
+ * are merged in function order into dense hook ids (see instrument()).
  */
 
 #ifndef WASABI_CORE_HOOK_MAP_H
 #define WASABI_CORE_HOOK_MAP_H
 
-#include <atomic>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/hook_kind.h"
@@ -53,10 +49,28 @@ struct HookSpec {
     bool operator==(const HookSpec &other) const = default;
 };
 
+/** Hash of a HookSpec, for the instrumenter's hook tables: keying on
+ * the spec spares building a mangled name per emitted hook call. */
+struct HookSpecHash {
+    size_t
+    operator()(const HookSpec &spec) const
+    {
+        size_t h = static_cast<size_t>(spec.kind) |
+                   static_cast<size_t>(spec.op) << 8 |
+                   static_cast<size_t>(spec.block) << 16 |
+                   static_cast<size_t>(spec.indirect) << 24 |
+                   static_cast<size_t>(spec.post) << 25;
+        for (wasm::ValType t : spec.types)
+            h = h * 31 + static_cast<size_t>(t);
+        return h;
+    }
+};
+
 /**
  * Unique import name of the hook, e.g. "i32.add", "drop_i64",
- * "call_pre_i32_f64", "call_post_i32", "begin_loop". Doubles as the
- * deduplication key in the HookMap.
+ * "call_pre_i32_f64", "call_post_i32", "begin_loop". Two specs the
+ * instrumenter generates have the same name iff they are equal (see
+ * parseHookName), so its hook tables key on the spec itself.
  */
 std::string mangledName(const HookSpec &spec);
 
@@ -79,45 +93,6 @@ std::optional<HookSpec> parseHookName(const std::string &name);
  * Hooks never return values.
  */
 wasm::FuncType lowLevelType(const HookSpec &spec, bool split_i64);
-
-/**
- * Thread-safe map from HookSpec to dense hook id. getOrAdd takes a
- * shared lock for the (common) hit case and upgrades to an exclusive
- * lock only to insert — the paper's "upgradeable multiple
- * readers/single writer lock" on the monomorphization map.
- */
-class HookMap {
-  public:
-    /** Lock-contention counters of the shared map (observability):
-     * a hit resolves under the shared lock, a miss upgrades to the
-     * exclusive lock, an insert actually created a new hook there
-     * (misses > inserts means another thread won the race). */
-    struct Stats {
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t inserts = 0;
-    };
-
-    /** Id of the hook for @p spec, creating it on demand. */
-    uint32_t getOrAdd(const HookSpec &spec);
-
-    /** Number of hooks created so far. */
-    uint32_t size() const;
-
-    /** Snapshot of all specs, indexed by hook id. */
-    std::vector<HookSpec> specs() const;
-
-    /** Snapshot of the hit/miss/insert counters. */
-    Stats stats() const;
-
-  private:
-    mutable std::shared_mutex mutex_;
-    std::unordered_map<std::string, uint32_t> byName_;
-    std::vector<HookSpec> specs_;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> inserts_{0};
-};
 
 } // namespace wasabi::core
 

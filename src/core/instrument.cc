@@ -6,9 +6,9 @@
 #include <chrono>
 #include <map>
 #include <thread>
+#include <utility>
 
 #include "core/control_stack.h"
-#include "core/hook_map.h"
 #include "wasm/name_section.h"
 
 namespace wasabi::core {
@@ -24,31 +24,28 @@ using wasm::ValType;
 
 namespace {
 
-/** Placeholder base for hook call indices, patched in a final pass.
- * Keeping hook targets symbolic makes per-function instrumentation
- * independent and hence parallelizable. */
+/** Base of hook call indices: a body calls kHookBase + the hook's id
+ * in its function's own hook table, patched to the merged id in a
+ * final pass. Keeping hook targets function-local makes
+ * per-function instrumentation independent and hence parallelizable. */
 constexpr uint32_t kHookBase = 0x80000000u;
 
 /** Per-function instrumentation output. */
 struct FuncOut {
     std::vector<Instr> body;
     std::vector<ValType> extraLocals;
-    std::unordered_map<uint64_t, BranchTarget> brTargets;
-    std::unordered_map<uint64_t, BrTableInfo> brTables;
-    std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
+    SideTables tables;
+    /** The function's hook table: specs in first-use order, indexed
+     * by local hook id. */
+    std::vector<HookSpec> hooks;
 };
 
 /** Instruments a single function (runs on a worker thread). */
 class FuncInstrumenter {
   public:
-    /** @p local_hook_ids is a per-worker cache shared across the
-     * functions one thread instruments. */
     FuncInstrumenter(const Module &m, uint32_t func_idx, HookSet hooks,
-                     const InstrumentOptions &opts, HookMap &hook_map,
-                     std::unordered_map<std::string, uint32_t>
-                         &local_hook_ids)
+                     const InstrumentOptions &opts)
         : m_(m), funcIdx_(func_idx), hooks_(hooks), opts_(opts),
-          hookMap_(hook_map), localHookIds_(local_hook_ids),
           func_(m.functions.at(func_idx)), state_(m, func_idx),
           plan_(opts.plan),
           funcDead_(plan_ && plan_->deadFunctions.count(func_idx) != 0)
@@ -101,23 +98,16 @@ class FuncInstrumenter {
         emit(Instr::i32Const(instr_idx));
     }
 
-    /** Call into the (deduplicated) low-level hook for @p spec.
-     * A per-worker cache keeps the hot path off the shared map's
-     * readers/writer lock (important for parallel instrumentation —
-     * every instrumented instruction resolves a hook id). */
+    /** Call into the (deduplicated) low-level hook for @p spec, by
+     * its id in this function's hook table. */
     void
     emitHookCall(const HookSpec &spec)
     {
-        std::string key = mangledName(spec);
-        auto it = localHookIds_.find(key);
-        uint32_t id;
-        if (it != localHookIds_.end()) {
-            id = it->second;
-        } else {
-            id = hookMap_.getOrAdd(spec);
-            localHookIds_.emplace(std::move(key), id);
-        }
-        emit(Instr::call(kHookBase + id));
+        auto [it, inserted] = hookIds_.try_emplace(
+            spec, static_cast<uint32_t>(out_.hooks.size()));
+        if (inserted)
+            out_.hooks.push_back(spec);
+        emit(Instr::call(kHookBase + it->second));
     }
 
     /** Scratch local of type @p t for slot @p slot; slots separate
@@ -166,48 +156,14 @@ class FuncInstrumenter {
         }
     }
 
-    // ----- control-stack derived info --------------------------------
-
-    /** End location of a frame; for the then-region of an if/else the
-     * region ends at the `else` instruction. */
-    uint32_t
-    frameEndIdx(const ControlFrame &f) const
-    {
-        if (f.kind == BlockKind::If && f.elseIdx)
-            return *f.elseIdx;
-        return f.endIdx;
-    }
-
-    /** Begin location of a frame (the `else` for else-regions). */
-    uint32_t
-    frameBeginIdx(const ControlFrame &f) const
-    {
-        if (f.kind == BlockKind::Else && f.elseIdx)
-            return *f.elseIdx;
-        return f.beginIdx;
-    }
-
-    EndedBlock
-    endedBlock(const ControlFrame &f) const
-    {
-        return EndedBlock{f.kind, Location{funcIdx_, frameEndIdx(f)},
-                          Location{funcIdx_, frameBeginIdx(f)}};
-    }
-
     /** Emit the end-hook call for one traversed frame (§2.4.5). */
     void
     emitEndHookFor(const ControlFrame &f)
     {
-        emitLoc(frameEndIdx(f));
-        emit(Instr::i32Const(frameBeginIdx(f)));
+        EndedBlock b = endedBlock(funcIdx_, f);
+        emitLoc(b.end.instr);
+        emit(Instr::i32Const(b.begin.instr));
         emitHookCall(HookSpec{.kind = HookKind::End, .block = f.kind});
-    }
-
-    BranchTarget
-    resolvedTarget(uint32_t label) const
-    {
-        return BranchTarget{label,
-                            Location{funcIdx_, state_.resolveLabel(label)}};
     }
 
     // ----- optimization-plan queries ----------------------------------
@@ -258,30 +214,6 @@ class FuncInstrumenter {
                                                     : &it->second;
     }
 
-    /** Record the branch metadata for a skipped (uninstrumented)
-     * branch: the runtime and checker key side tables off live sites
-     * whether or not hooks were emitted there. */
-    void
-    recordBranchMetadata(const Instr &instr, OpClass cls, uint32_t i)
-    {
-        if (cls == OpClass::Br || cls == OpClass::BrIf) {
-            out_.brTargets[packLoc({funcIdx_, i})] =
-                resolvedTarget(instr.imm.idx);
-        } else if (cls == OpClass::BrTable) {
-            recordBrTable(instr, i);
-        }
-    }
-
-    void
-    recordBrTable(const Instr &instr, uint32_t i)
-    {
-        BrTableInfo table_info;
-        for (size_t k = 0; k + 1 < instr.table.size(); ++k)
-            table_info.cases.push_back(makeBrTableEntry(instr.table[k]));
-        table_info.defaultCase = makeBrTableEntry(instr.table.back());
-        out_.brTables[packLoc({funcIdx_, i})] = std::move(table_info);
-    }
-
     // ----- per-instruction instrumentation ----------------------------
 
     void
@@ -290,25 +222,13 @@ class FuncInstrumenter {
         const OpInfo &info = wasm::opInfo(instr.op);
         const bool live = state_.reachable();
 
-        // Structural bookkeeping that happens regardless of liveness.
-        if (info.cls == OpClass::End || info.cls == OpClass::Else) {
-            const ControlFrame &f = state_.frames().back();
-            BlockKind kind =
-                info.cls == OpClass::Else ? BlockKind::If : f.kind;
-            uint32_t begin = info.cls == OpClass::Else
-                                 ? f.beginIdx
-                                 : frameBeginIdx(f);
-            out_.blockEnds[packLoc({funcIdx_, i})] =
-                BlockEndInfo{kind, Location{funcIdx_, begin}};
-        }
+        // Side tables are recorded whether or not hooks are emitted
+        // here: the runtime and checker key them off live sites.
+        recordSideTables(state_, funcIdx_, i, instr, out_.tables);
 
         if (planSkips(i)) {
             // The pass pipeline proved this site can never execute;
-            // copy it unchanged, but keep recording branch metadata
-            // at structurally-live sites — the metadata invariant is
-            // independent of hook emission.
-            if (live)
-                recordBranchMetadata(instr, info.cls, i);
+            // copy it unchanged.
             emit(instr);
             return;
         }
@@ -403,7 +323,7 @@ class FuncInstrumenter {
             if (hooks_.has(HookKind::End) && !planElidesEnd(i)) {
                 const ControlFrame &f = state_.frames().back();
                 emitLoc(i);
-                emit(Instr::i32Const(frameBeginIdx(f)));
+                emit(Instr::i32Const(endedBlock(funcIdx_, f).begin.instr));
                 emitHookCall(
                     HookSpec{.kind = HookKind::End, .block = f.kind});
             }
@@ -413,7 +333,6 @@ class FuncInstrumenter {
 
           case OpClass::Br: {
             uint32_t label = instr.imm.idx;
-            out_.brTargets[packLoc({funcIdx_, i})] = resolvedTarget(label);
             if (hooks_.has(HookKind::Br)) {
                 emitLoc(i);
                 emitHookCall(HookSpec{.kind = HookKind::Br});
@@ -428,7 +347,6 @@ class FuncInstrumenter {
 
           case OpClass::BrIf: {
             uint32_t label = instr.imm.idx;
-            out_.brTargets[packLoc({funcIdx_, i})] = resolvedTarget(label);
             bool want_hook = hooks_.has(HookKind::BrIf);
             bool want_ends = hooks_.has(HookKind::End);
             if (want_hook || want_ends) {
@@ -458,8 +376,6 @@ class FuncInstrumenter {
             // Which branch is taken — and thus which blocks are left —
             // is only known at runtime; store a side table and let the
             // low-level hook dispatch (paper §2.4.5).
-            recordBrTable(instr, i);
-
             if (const uint32_t *cidx = planConstIndex(i)) {
                 // The index operand is a compile-time constant: the
                 // taken label — and the frames it exits — are known
@@ -468,8 +384,8 @@ class FuncInstrumenter {
                 size_t sel = std::min<size_t>(
                     *cidx, instr.table.size() - 1);
                 uint32_t label = instr.table[sel];
-                out_.brTargets[packLoc({funcIdx_, i})] =
-                    resolvedTarget(label);
+                out_.tables.brTargets[packLoc({funcIdx_, i})] =
+                    branchTarget(state_, funcIdx_, label);
                 if (hooks_.has(HookKind::BrTable)) {
                     emitLoc(i);
                     emitHookCall(HookSpec{.kind = HookKind::Br});
@@ -777,16 +693,6 @@ class FuncInstrumenter {
         }
     }
 
-    BrTableEntry
-    makeBrTableEntry(uint32_t label) const
-    {
-        BrTableEntry e;
-        e.target = resolvedTarget(label);
-        for (const ControlFrame &f : state_.traversedFrames(label))
-            e.ended.push_back(endedBlock(f));
-        return e;
-    }
-
     ValType
     localType(uint32_t idx) const
     {
@@ -801,23 +707,21 @@ class FuncInstrumenter {
     uint32_t funcIdx_;
     HookSet hooks_;
     const InstrumentOptions &opts_;
-    HookMap &hookMap_;
-    std::unordered_map<std::string, uint32_t> &localHookIds_;
     const Function &func_;
     AbstractState state_;
     const HookOptimizationPlan *plan_;
     bool funcDead_;
     FuncOut out_;
+    /** Spec -> local id in out_.hooks. */
+    std::unordered_map<HookSpec, uint32_t, HookSpecHash> hookIds_;
     uint32_t firstScratch_;
     std::map<std::pair<ValType, int>, uint32_t> scratch_;
 };
 
-/** Patch a function index after hook imports were inserted. */
+/** Patch an original function index after hook imports were inserted. */
 uint32_t
 remapFuncIdx(uint32_t idx, uint32_t num_orig_imports, uint32_t num_hooks)
 {
-    if (idx >= kHookBase)
-        return num_orig_imports + (idx - kHookBase);
     if (idx < num_orig_imports)
         return idx;
     return idx + num_hooks;
@@ -838,56 +742,37 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     };
 
     const uint32_t num_funcs = m.numFunctions();
-    HookMap hook_map;
     std::vector<FuncOut> outs(num_funcs);
     InstrumentStats stats;
 
-    // `cache` is per worker: it keeps the hot hook-id lookups off the
-    // shared map's lock (paper §3: the monomorphization map is the
-    // only synchronization point of the parallel instrumentation).
-    auto work = [&](uint32_t f,
-                    std::unordered_map<std::string, uint32_t> &cache,
-                    InstrumentStats::Worker &wstats) {
-        if (!m.functions[f].imported()) {
-            outs[f] =
-                FuncInstrumenter(m, f, hooks, opts, hook_map, cache)
-                    .run();
-            ++wstats.functions;
+    // Workers claim functions in any order: each function's output,
+    // its hook table included, depends on that function alone. A lone
+    // worker runs inline; several each get a thread of their own (the
+    // caller taking a share instead raised the peak RSS of the large
+    // apps by about a tenth, from heap fragmentation).
+    std::atomic<uint32_t> next{0};
+    auto work = [&](InstrumentStats::Worker &w) {
+        w.startNanos = since_begin();
+        for (uint32_t f; (f = next.fetch_add(1)) < num_funcs;) {
+            if (m.functions[f].imported())
+                continue;
+            outs[f] = FuncInstrumenter(m, f, hooks, opts).run();
+            ++w.functions;
         }
+        w.nanos = since_begin() - w.startNanos;
     };
-
-    if (opts.numThreads <= 1) {
-        InstrumentStats::Worker wstats;
-        wstats.startNanos = since_begin();
-        std::unordered_map<std::string, uint32_t> cache;
-        for (uint32_t f = 0; f < num_funcs; ++f)
-            work(f, cache, wstats);
-        wstats.nanos = since_begin() - wstats.startNanos;
-        stats.workers.push_back(wstats);
+    stats.workers.resize(std::max(1u, opts.numThreads));
+    if (stats.workers.size() == 1) {
+        work(stats.workers[0]);
     } else {
-        std::atomic<uint32_t> next{0};
         std::vector<std::thread> threads;
-        stats.workers.resize(opts.numThreads);
-        for (unsigned t = 0; t < opts.numThreads; ++t) {
-            threads.emplace_back([&, t]() {
-                InstrumentStats::Worker &wstats = stats.workers[t];
-                wstats.startNanos = since_begin();
-                std::unordered_map<std::string, uint32_t> cache;
-                while (true) {
-                    uint32_t f = next.fetch_add(1);
-                    if (f >= num_funcs)
-                        break;
-                    work(f, cache, wstats);
-                }
-                wstats.nanos = since_begin() - wstats.startNanos;
-            });
-        }
+        for (InstrumentStats::Worker &w : stats.workers)
+            threads.emplace_back(work, std::ref(w));
         for (std::thread &t : threads)
             t.join();
     }
     for (const InstrumentStats::Worker &w : stats.workers)
         stats.functionsInstrumented += w.functions;
-    stats.hookMap = hook_map.stats();
 
     auto info = std::make_shared<StaticInfo>();
     info->original = m;
@@ -895,9 +780,27 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     info->numOrigImports = m.numImportedFunctions();
     info->splitI64 = opts.splitI64;
     info->instrumentedHooks = hooks;
-    info->hooks = hook_map.specs();
     if (opts.plan)
         info->optimization = *opts.plan;
+
+    // Merge the function hook tables in function order: hook ids
+    // follow first sighting in index order, as a sequential walk
+    // assigns them, whatever the schedule above was. Each table is
+    // freed once merged, before the module copy below allocates.
+    std::unordered_map<HookSpec, uint32_t, HookSpecHash> hook_ids;
+    std::vector<std::vector<uint32_t>> merged_ids(num_funcs);
+    for (uint32_t f = 0; f < num_funcs; ++f) {
+        for (HookSpec &spec : std::exchange(outs[f].hooks, {})) {
+            auto [it, inserted] = hook_ids.try_emplace(
+                spec, static_cast<uint32_t>(info->hooks.size()));
+            if (inserted)
+                info->hooks.push_back(std::move(spec));
+            else
+                ++stats.hookMap.hits;
+            merged_ids[f].push_back(it->second);
+        }
+    }
+    stats.hookMap.misses = stats.hookMap.inserts = info->hooks.size();
 
     const uint32_t num_hooks = static_cast<uint32_t>(info->hooks.size());
     const uint32_t base = info->numOrigImports;
@@ -926,7 +829,9 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     out.functions.insert(out.functions.begin() + base, hook_funcs.begin(),
                          hook_funcs.end());
 
-    // Install the instrumented bodies and extra locals.
+    // Install the instrumented bodies and extra locals, patching every
+    // call for the shifted index space: hook calls to their merged id,
+    // the rest past the hook imports.
     for (uint32_t f = 0; f < num_funcs; ++f) {
         if (m.functions[f].imported())
             continue;
@@ -934,21 +839,22 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
         g.locals.insert(g.locals.end(), outs[f].extraLocals.begin(),
                         outs[f].extraLocals.end());
         g.body = std::move(outs[f].body);
+        for (Instr &instr : g.body) {
+            if (instr.op != Opcode::Call)
+                continue;
+            instr.imm.idx =
+                instr.imm.idx >= kHookBase
+                    ? base + merged_ids[f][instr.imm.idx - kHookBase]
+                    : remapFuncIdx(instr.imm.idx, base, num_hooks);
+        }
         // Merge this function's static-info contributions.
-        info->brTargets.merge(outs[f].brTargets);
-        info->brTables.merge(outs[f].brTables);
-        info->blockEnds.merge(outs[f].blockEnds);
+        info->brTargets.merge(outs[f].tables.brTargets);
+        info->brTables.merge(outs[f].tables.brTables);
+        info->blockEnds.merge(outs[f].tables.blockEnds);
     }
 
-    // Final pass: patch all function references for the shifted index
-    // space (call immediates, element segments, start).
-    for (Function &g : out.functions) {
-        for (Instr &instr : g.body) {
-            if (instr.op == Opcode::Call)
-                instr.imm.idx =
-                    remapFuncIdx(instr.imm.idx, base, num_hooks);
-        }
-    }
+    // Patch the remaining function references (element segments,
+    // start).
     for (wasm::ElementSegment &seg : out.elements) {
         for (uint32_t &f : seg.funcIdxs)
             f = remapFuncIdx(f, base, num_hooks);

@@ -12,8 +12,10 @@
  *  - explicit end-hook calls for blocks traversed by br/br_if/return,
  *    and runtime-selected side tables for br_table (§2.4.5);
  *  - i64 values split into two i32s at the hook boundary (§2.4.6);
- *  - functions can be instrumented in parallel; the shared hook map is
- *    guarded by a readers/writer lock (§3);
+ *  - functions can be instrumented in parallel (§3); unlike the
+ *    paper's lock-guarded shared hook map, each function keeps its own
+ *    hook table and the tables are merged in function order, so the
+ *    output is byte-identical at any thread count;
  *  - the original memory behavior is untouched: inserted code uses
  *    fresh locals only, never the program's linear memory.
  */
@@ -73,8 +75,16 @@ struct InstrumentStats {
     };
     std::vector<Worker> workers;
 
-    /** Shared hook-map lock statistics (readers/writer lock, §3). */
-    HookMap::Stats hookMap;
+    /** Hook-table merge counters, deterministic for any thread
+     * count: `inserts` and `misses` both count the distinct hooks;
+     * `hits` counts per-function hook tables' entries that the merge
+     * resolved to an already assigned id. */
+    struct HookMapStats {
+        uint64_t hits = 0;
+        uint64_t misses = 0;
+        uint64_t inserts = 0;
+    };
+    HookMapStats hookMap;
 
     /** Total defined functions instrumented (= Σ workers[i].functions,
      * deterministic for any thread count). */

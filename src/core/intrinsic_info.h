@@ -2,8 +2,8 @@
  * @file
  * StaticInfo construction for the engine-intrinsic instrumentation
  * mode (DESIGN.md §13): the same branch-target / br_table / block-end
- * side tables the instrumenter records while rewriting, but computed
- * by a plain abstract-interpretation walk with no code emission — the
+ * side tables the instrumenter records while rewriting, filled by the
+ * same recordSideTables() walk but with no code emission — the
  * module is left untouched and `hooks` stays empty (there are no
  * low-level hook imports in intrinsic mode).
  */
@@ -22,8 +22,8 @@ namespace wasabi::core {
 /**
  * Build the static info an intrinsic-mode run of @p m with hook set
  * @p kinds needs: brTargets/brTables/blockEnds keyed by original
- * locations (recorded at the same sites, under the same liveness
- * rules, as `instrument()` records them), `instrumentedHooks` set to
+ * locations (recorded by recordSideTables(), as `instrument()`
+ * records them), `instrumentedHooks` set to
  * @p kinds, and an unmodified copy of the module. @p m must validate.
  */
 std::shared_ptr<StaticInfo> buildIntrinsicInfo(const wasm::Module &m,

@@ -53,12 +53,16 @@ struct EndedBlock {
     BlockKind kind = BlockKind::Block;
     Location end;   ///< location of the block's end instruction
     Location begin; ///< location of the block's begin
+
+    bool operator==(const EndedBlock &other) const = default;
 };
 
 /** One resolved br_table entry with the blocks its jump ends. */
 struct BrTableEntry {
     BranchTarget target;
     std::vector<EndedBlock> ended;
+
+    bool operator==(const BrTableEntry &other) const = default;
 };
 
 /** Side table of one br_table instruction: per-case entries plus the
@@ -66,16 +70,60 @@ struct BrTableEntry {
 struct BrTableInfo {
     std::vector<BrTableEntry> cases;
     BrTableEntry defaultCase;
+
+    bool operator==(const BrTableInfo &other) const = default;
 };
 
 /** Begin/kind of the block closed at some end (or else) location. */
 struct BlockEndInfo {
     BlockKind kind = BlockKind::Block;
     Location begin;
+
+    bool operator==(const BlockEndInfo &other) const = default;
 };
 
+/** The branch and block side tables, keyed by packed original
+ * location. Rewrite mode (`instrument()`) and intrinsic mode
+ * (`buildIntrinsicInfo()`) both fill them with recordSideTables(). */
+struct SideTables {
+    /** Resolved targets of br and br_if instructions. */
+    std::unordered_map<uint64_t, BranchTarget> brTargets;
+
+    /** Side tables of br_table instructions. */
+    std::unordered_map<uint64_t, BrTableInfo> brTables;
+
+    /** Block info keyed by end (and else) locations. */
+    std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
+};
+
+/**
+ * The block that frame @p frame of function @p func_idx spans. The
+ * then-region of an if/else ends at its `else`, and the else-region
+ * begins there; every other frame spans its own begin to its `end`.
+ */
+EndedBlock endedBlock(uint32_t func_idx, const ControlFrame &frame);
+
+/** Where a branch to @p label, taken at @p state, lands (§2.4.4). */
+BranchTarget branchTarget(const AbstractState &state, uint32_t func_idx,
+                          uint32_t label);
+
+/** The br_table entry for @p label: its resolved target plus the
+ * blocks the jump ends, innermost first (paper §2.4.5). */
+BrTableEntry brTableEntry(const AbstractState &state, uint32_t func_idx,
+                          uint32_t label);
+
+/**
+ * Record the side tables of instruction @p instr at index @p i of
+ * function @p func_idx, with @p state positioned before it. Block
+ * ends (and elses) are recorded always; branch targets and br_table
+ * side tables only at live branches.
+ */
+void recordSideTables(const AbstractState &state, uint32_t func_idx,
+                      uint32_t i, const wasm::Instr &instr,
+                      SideTables &tables);
+
 /** All static information about one instrumentation run. */
-class StaticInfo {
+class StaticInfo : public SideTables {
   public:
     /** The original, uninstrumented module (locations refer to it). */
     wasm::Module original;
@@ -95,15 +143,6 @@ class StaticInfo {
 
     /** The hook kinds this run instrumented. */
     HookSet instrumentedHooks;
-
-    /** Resolved targets of br and br_if instructions. */
-    std::unordered_map<uint64_t, BranchTarget> brTargets;
-
-    /** Side tables of br_table instructions. */
-    std::unordered_map<uint64_t, BrTableInfo> brTables;
-
-    /** Block info keyed by end (and else) locations. */
-    std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
 
     /** The hook-optimization plan applied during instrumentation (set
      * iff `--optimize-hooks` was used); the checker verifies every

@@ -4,7 +4,7 @@
  * aggregates, across all three layers of the system,
  *
  *  - instrumentation-phase metrics from `core::instrument` (wall
- *    time, per-worker-thread function counts, hook-map lock
+ *    time, per-worker-thread function counts, hook-map merge
  *    hit/miss/insert counts) plus caller-timed phase spans
  *    (decode/instrument/encode/execute),
  *  - runtime hook-dispatch metrics from `WasabiRuntime::dispatch`
@@ -146,8 +146,8 @@ class ProfileCollector {
     /**
      * Versioned JSON document (schema "wasabi-profile" v1). With
      * @p deterministic, every timing is zeroed and the
-     * thread-schedule-dependent subsections (phase spans, per-worker
-     * spans, hook-map lock counters) are omitted, so two runs of the
+     * schedule-dependent subsections (phase spans, per-worker spans)
+     * and the hook-map counters are omitted, so two runs of the
      * same module + analysis agree byte-for-byte regardless of
      * instrumentation thread count.
      */

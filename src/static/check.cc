@@ -64,7 +64,8 @@ struct Site {
 };
 
 /** Kind and begin location of the region closing at an `end`/`else`
- * instruction, mirroring the instrumenter's frameBeginIdx logic. */
+ * instruction, derived from the block structure alone (an oracle for
+ * the recorded blockEnds independent of core::endedBlock). */
 struct RegionEnd {
     BlockKind kind = BlockKind::Block;
     uint32_t begin = 0;
@@ -894,11 +895,9 @@ class Checker {
                                 const std::vector<ControlFrame> &frames)
     {
         for (const ControlFrame &fr : frames) {
-            uint32_t end_idx =
-                fr.kind == BlockKind::If && fr.elseIdx ? *fr.elseIdx
-                                                       : fr.endIdx;
             BlockKind kind = fr.kind;
-            requireSite(f, end_idx, "end_" + std::string(name(kind)),
+            requireSite(f, core::endedBlock(f, fr).end.instr,
+                        "end_" + std::string(name(kind)),
                         [kind](const Site &s) {
                             return s.spec->kind == HookKind::End &&
                                    s.spec->block == kind;
@@ -1496,38 +1495,6 @@ class Checker {
         }
     }
 
-    std::vector<core::EndedBlock>
-    expectedEnded(uint32_t f, const std::vector<ControlFrame> &frames)
-    {
-        std::vector<core::EndedBlock> out;
-        for (const ControlFrame &fr : frames) {
-            uint32_t end_idx =
-                fr.kind == BlockKind::If && fr.elseIdx ? *fr.elseIdx
-                                                       : fr.endIdx;
-            uint32_t begin_idx =
-                fr.kind == BlockKind::Else && fr.elseIdx ? *fr.elseIdx
-                                                         : fr.beginIdx;
-            out.push_back(core::EndedBlock{
-                fr.kind, Location{f, end_idx}, Location{f, begin_idx}});
-        }
-        return out;
-    }
-
-    bool
-    endedMatches(const std::vector<core::EndedBlock> &actual,
-                 const std::vector<core::EndedBlock> &expected)
-    {
-        if (actual.size() != expected.size())
-            return false;
-        for (size_t k = 0; k < actual.size(); ++k) {
-            if (actual[k].kind != expected[k].kind ||
-                !(actual[k].end == expected[k].end) ||
-                !(actual[k].begin == expected[k].begin))
-                return false;
-        }
-        return true;
-    }
-
     void
     checkFunctionMetadata(const core::StaticInfo &info, uint32_t f)
     {
@@ -1541,14 +1508,14 @@ class Checker {
 
             if (live && (cls == OpClass::Br || cls == OpClass::BrIf)) {
                 const core::BranchTarget *bt = info.findBrTarget(loc);
-                uint32_t resolved = state.resolveLabel(in.imm.idx);
+                core::BranchTarget want =
+                    core::branchTarget(state, f, in.imm.idx);
                 if (!bt) {
                     diags_.error("check.sidetable.br-target",
                                  "no resolved branch target recorded "
                                  "for this branch",
                                  f, i);
-                } else if (bt->label != in.imm.idx ||
-                           !(bt->location == Location{f, resolved})) {
+                } else if (*bt != want) {
                     diags_.error(
                         "check.sidetable.br-target",
                         "recorded branch target (label " +
@@ -1556,8 +1523,8 @@ class Checker {
                             locString(bt->location.instr) +
                             ") disagrees with the abstract control "
                             "stack (label " +
-                            std::to_string(in.imm.idx) + " -> instr " +
-                            locString(resolved) + ")",
+                            std::to_string(want.label) + " -> instr " +
+                            locString(want.location.instr) + ")",
                         f, i);
                 }
             }
@@ -1578,8 +1545,8 @@ class Checker {
                     // at this site resolves through it).
                     size_t sel = std::min<size_t>(
                         *cidx, in.table.size() - 1);
-                    uint32_t label = in.table[sel];
-                    uint32_t resolved = state.resolveLabel(label);
+                    core::BranchTarget want =
+                        core::branchTarget(state, f, in.table[sel]);
                     const core::BranchTarget *bt =
                         info.findBrTarget(loc);
                     if (!bt) {
@@ -1588,9 +1555,7 @@ class Checker {
                             "no branch target recorded for this "
                             "plan-narrowed br_table",
                             f, i);
-                    } else if (bt->label != label ||
-                               !(bt->location ==
-                                 Location{f, resolved})) {
+                    } else if (*bt != want) {
                         diags_.error(
                             "check.sidetable.br-target",
                             "recorded narrowed br_table target "
@@ -1600,8 +1565,9 @@ class Checker {
                                 locString(bt->location.instr) +
                                 ") disagrees with the constant-index "
                                 "resolution (label " +
-                                std::to_string(label) + " -> instr " +
-                                locString(resolved) + ")",
+                                std::to_string(want.label) +
+                                " -> instr " +
+                                locString(want.location.instr) + ")",
                             f, i);
                     }
                 }
@@ -1645,20 +1611,14 @@ class Checker {
         }
         auto checkEntry = [&](const core::BrTableEntry &entry,
                               uint32_t label, const char *what) {
-            uint32_t resolved = state.resolveLabel(label);
-            bool target_ok =
-                entry.target.label == label &&
-                entry.target.location == Location{f, resolved};
-            bool ended_ok = endedMatches(
-                entry.ended,
-                expectedEnded(f, state.traversedFrames(label)));
-            if (!target_ok || !ended_ok) {
+            core::BrTableEntry want = core::brTableEntry(state, f, label);
+            if (entry != want) {
                 diags_.error(
                     "check.sidetable.entry",
                     std::string(what) +
                         " entry does not cover its target (label " +
                         std::to_string(label) + " -> instr " +
-                        locString(resolved) + ")",
+                        locString(want.target.location.instr) + ")",
                     f, i);
             }
         };

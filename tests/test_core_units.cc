@@ -1,19 +1,18 @@
 /**
  * @file
  * Unit tests for the core building blocks: HookSet, HookSpec mangling
- * and low-level types, the thread-safe on-demand monomorphization map
- * (including a concurrency stress test), block matching, and the
- * abstract control/type stack.
+ * and low-level types, hook deduplication across functions, block
+ * matching, and the abstract control/type stack.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <thread>
 
 #include "core/control_stack.h"
 #include "core/hook_kind.h"
 #include "core/hook_map.h"
+#include "core/instrument.h"
 #include "core/static_info.h"
 #include "wasm/builder.h"
 
@@ -149,50 +148,27 @@ TEST(HookSpecTest, SelectAndStoreTypes)
 }
 
 // ---------------------------------------------------------------------
-// HookMap.
+// Hook deduplication across functions.
 
 TEST(HookMapTest, DeduplicatesByMangledName)
 {
-    HookMap map;
-    uint32_t a = map.getOrAdd({.kind = HookKind::Drop,
-                               .types = {ValType::I32}});
-    uint32_t b = map.getOrAdd({.kind = HookKind::Drop,
-                               .types = {ValType::F64}});
-    uint32_t c = map.getOrAdd({.kind = HookKind::Drop,
-                               .types = {ValType::I32}});
-    EXPECT_EQ(a, c);
-    EXPECT_NE(a, b);
-    EXPECT_EQ(map.size(), 2u);
-}
-
-TEST(HookMapTest, ConcurrentGetOrAddIsConsistent)
-{
-    HookMap map;
-    constexpr int kThreads = 8;
-    constexpr int kSpecs = 64;
-    std::vector<std::vector<uint32_t>> ids(kThreads,
-                                           std::vector<uint32_t>(kSpecs));
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&map, &ids, t]() {
-            for (int s = 0; s < kSpecs; ++s) {
-                HookSpec spec{.kind = HookKind::Call,
-                              .types = std::vector<ValType>(
-                                  s % 5, static_cast<ValType>(s % 4)),
-                              .post = (s % 2) == 0};
-                ids[t][s] = map.getOrAdd(spec);
-            }
+    ModuleBuilder mb;
+    for (const char *name : {"a", "b"}) {
+        mb.addFunction(FuncType({}, {}), name, [](FunctionBuilder &f) {
+            f.i32Const(1).drop();
+            f.f64Const(2.0).drop();
         });
     }
-    for (auto &th : threads)
-        th.join();
-    // Every thread must have observed the same id for the same spec.
-    for (int t = 1; t < kThreads; ++t)
-        EXPECT_EQ(ids[t], ids[0]);
-    // And ids are dense.
-    EXPECT_LE(map.size(), static_cast<uint32_t>(kSpecs));
-    for (uint32_t id : ids[0])
-        EXPECT_LT(id, map.size());
+    InstrumentResult r =
+        instrument(mb.build(), HookSet::only(HookKind::Drop));
+    std::vector<std::string> names;
+    for (const HookSpec &spec : r.info->hooks)
+        names.push_back(mangledName(spec));
+    // Both functions drop an i32 and an f64: one import each, with ids
+    // in first-use order.
+    EXPECT_EQ(names, (std::vector<std::string>{"drop_i32", "drop_f64"}));
+    EXPECT_EQ(r.stats.hookMap.inserts, 2u);
+    EXPECT_EQ(r.stats.hookMap.hits, 2u);
 }
 
 // ---------------------------------------------------------------------

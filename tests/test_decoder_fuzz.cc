@@ -509,8 +509,9 @@ TEST(RewriterFuzz, RandomEditScriptsNeverCorrupt)
         std::optional<FuzzOutcome> fast =
             runBounded(result.module, interp::EngineKind::Fast);
         ASSERT_EQ(legacy.has_value(), fast.has_value()) << "iter " << iter;
-        if (legacy)
+        if (legacy) {
             EXPECT_EQ(*legacy == *fast, true) << "iter " << iter;
+        }
         ++survivors;
     }
     // The script mix must exercise both outcomes.

@@ -2,16 +2,26 @@
  * @file
  * Instrumenter tests: hook-import generation, index remapping,
  * validity of instrumented modules, faithful execution under no-op
- * hooks, and the values delivered to low-level hooks (including the
- * i64 split ABI and drop/select monomorphization).
+ * hooks, the values delivered to low-level hooks (including the
+ * i64 split ABI and drop/select monomorphization), byte-identical
+ * output at any thread count, and side-table parity with the
+ * intrinsic-mode StaticInfo.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/instrument.h"
+#include "core/intrinsic_info.h"
 #include "interp/interpreter.h"
+#include "static/passes/pipeline.h"
 #include "wasm/builder.h"
+#include "wasm/encoder.h"
 #include "wasm/validator.h"
+#include "workloads/polybench.h"
+#include "workloads/random_program.h"
+#include "workloads/synthetic_app.h"
 
 namespace wasabi::core {
 namespace {
@@ -555,15 +565,9 @@ TEST(Instrument, ParallelInstrumentationMatchesSequentialBehavior)
     InstrumentResult rp = instrument(m, HookSet::all(), par);
     InstrumentResult rs = instrument(m, HookSet::all());
     ASSERT_EQ(validationError(rp.module), std::nullopt);
-    // The same set of hooks is generated (ids may differ by schedule).
-    std::vector<std::string> np, ns;
-    for (const HookSpec &s : rp.info->hooks)
-        np.push_back(mangledName(s));
-    for (const HookSpec &s : rs.info->hooks)
-        ns.push_back(mangledName(s));
-    std::sort(np.begin(), np.end());
-    std::sort(ns.begin(), ns.end());
-    EXPECT_EQ(np, ns);
+    // The same hooks in the same id order, and the same bytes.
+    EXPECT_TRUE(rp.info->hooks == rs.info->hooks);
+    EXPECT_EQ(wasm::encodeModule(rp.module), wasm::encodeModule(rs.module));
     // And behavior matches the original.
     auto inst = Instance::instantiate(rp.module, noopLinker(*rp.info));
     Interpreter interp;
@@ -644,6 +648,118 @@ TEST(Instrument, MemoryBehaviorIsUntouched)
     i2.invokeExport(*inst, "f", {});
 
     EXPECT_EQ(orig->memory().raw(), inst->memory().raw());
+}
+
+// ---------------------------------------------------------------------
+// Corpus: thread-count invariance and side-table parity.
+
+using Corpus = std::vector<std::pair<std::string, wasm::Module>>;
+
+/** pspdfkit-like and unreal-like synthetic apps at seeds 1-2. */
+Corpus
+appCorpus()
+{
+    Corpus c;
+    for (uint64_t seed : {1, 2}) {
+        std::string s = std::to_string(seed);
+        c.emplace_back("pdfkit-like:" + s,
+                       workloads::syntheticApp(
+                           workloads::AppSize::PdfkitLike, seed)
+                           .module);
+        c.emplace_back("unreal-like:" + s,
+                       workloads::syntheticApp(
+                           workloads::AppSize::UnrealLike, seed)
+                           .module);
+    }
+    return c;
+}
+
+/** The 30 PolyBench kernels. */
+Corpus
+polybenchCorpus()
+{
+    Corpus c;
+    for (const std::string &name : workloads::polybenchNames())
+        c.emplace_back(name, workloads::polybench(name, 8).module);
+    return c;
+}
+
+/** random:1 .. random:20. */
+Corpus
+randomCorpus()
+{
+    Corpus c;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        workloads::RandomProgramOptions opts;
+        opts.seed = seed;
+        c.emplace_back("random:" + std::to_string(seed),
+                       workloads::randomProgram(opts).module);
+    }
+    return c;
+}
+
+/** Instrumenting at 2, 4 and 8 threads, with and without the module's
+ * `--optimize-hooks` plan, gives the 1-thread output byte for byte:
+ * the encoded module and the hook id order. */
+void
+expectSameAtAnyThreadCount(const Corpus &corpus)
+{
+    for (const auto &[name, m] : corpus) {
+        const HookOptimizationPlan plan =
+            static_analysis::passes::computePlan(m);
+        for (const HookOptimizationPlan *p :
+             {static_cast<const HookOptimizationPlan *>(nullptr), &plan}) {
+            InstrumentOptions opts;
+            opts.plan = p;
+            InstrumentResult seq = instrument(m, HookSet::all(), opts);
+            std::vector<uint8_t> bytes = wasm::encodeModule(seq.module);
+            // Hook tables key on the spec: no two hooks share a name.
+            std::set<std::string> names;
+            for (const HookSpec &spec : seq.info->hooks)
+                EXPECT_TRUE(names.insert(mangledName(spec)).second)
+                    << name << ": duplicate hook " << mangledName(spec);
+            for (unsigned threads : {2u, 4u, 8u}) {
+                opts.numThreads = threads;
+                InstrumentResult par = instrument(m, HookSet::all(), opts);
+                std::string what = name + (p ? " with plan" : "") +
+                                   " at " + std::to_string(threads) +
+                                   " threads";
+                EXPECT_TRUE(par.info->hooks == seq.info->hooks) << what;
+                EXPECT_TRUE(wasm::encodeModule(par.module) == bytes)
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(InstrumentDeterminism, AppsMatchSequentialAtAnyThreadCount)
+{
+    expectSameAtAnyThreadCount(appCorpus());
+}
+
+TEST(InstrumentDeterminism, PolybenchMatchesSequentialAtAnyThreadCount)
+{
+    expectSameAtAnyThreadCount(polybenchCorpus());
+}
+
+TEST(InstrumentDeterminism, RandomMatchesSequentialAtAnyThreadCount)
+{
+    expectSameAtAnyThreadCount(randomCorpus());
+}
+
+/** Rewrite mode and intrinsic mode record the same side tables. */
+TEST(SideTableParity, IntrinsicInfoMatchesInstrument)
+{
+    for (Corpus (*corpus)() : {appCorpus, polybenchCorpus, randomCorpus}) {
+        for (const auto &[name, m] : corpus()) {
+            std::shared_ptr<StaticInfo> intrinsic =
+                buildIntrinsicInfo(m, HookSet::all());
+            InstrumentResult r = instrument(m, HookSet::all());
+            EXPECT_TRUE(intrinsic->brTargets == r.info->brTargets) << name;
+            EXPECT_TRUE(intrinsic->brTables == r.info->brTables) << name;
+            EXPECT_TRUE(intrinsic->blockEnds == r.info->blockEnds) << name;
+        }
+    }
 }
 
 } // namespace

@@ -533,9 +533,11 @@ TEST(InterprocLint, ConstantReturnOfPrivateFunctionReported)
         << toString(d);
     // The exported entry also trivially returns a call result, but
     // exports keep their ABI: no const-return finding for main.
-    for (const auto &diag : d.all())
-        if (diag.code == passes::kLintInterprocConstReturn)
+    for (const auto &diag : d.all()) {
+        if (diag.code == passes::kLintInterprocConstReturn) {
             EXPECT_EQ(diag.func, callee) << toString(d);
+        }
+    }
 }
 
 TEST(InterprocLint, TableDiagnosticsSurfaceInLint)

@@ -700,7 +700,7 @@ expectOptimizationFaithful(const workloads::Workload &w)
 
 TEST(OptDifferential, PolybenchKernels)
 {
-    for (const std::string &name :
+    for (const char *name :
          {"gemm", "atax", "cholesky", "floyd-warshall", "jacobi-2d"}) {
         expectOptimizationFaithful(workloads::polybench(name, 6));
     }

@@ -1354,7 +1354,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  observability layer attached, then report:\n"
             "    - decode/instrument/encode/execute phase wall times\n"
             "    - per-worker-thread instrumentation spans and the\n"
-            "      hook-map readers/writer-lock hit/miss/insert counts\n"
+            "      hook-map merge hit/miss/insert counts\n"
             "    - per-hook-kind dispatch counts and cumulative time,\n"
             "      attributed per analysis\n"
             "    - interpreter counters (instructions, calls, memory\n"
